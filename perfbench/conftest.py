@@ -1,0 +1,11 @@
+"""Make the program importable for the harness's own tests.
+
+Run them from the repository root with ``python -m pytest perfbench``.
+"""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
