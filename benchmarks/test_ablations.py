@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.datasources import DataSources
 from repro.core.features import url_features
+from repro.core.features.extractor import group_slices
 from repro.core.target import TargetIdentifier
 from repro.evaluation.reporting import format_table
 from repro.ml.boosting import GradientBoostingClassifier
@@ -111,14 +112,17 @@ def test_ablation_control_partition(lab, benchmark, save_result):
     test = lab.dataset("english").subset(range(400)) + lab.dataset("phishTest")
 
     def matrix(pages, flat):
-        rows = []
-        for page in pages:
-            sources = DataSources(page.snapshot, psl=lab.extractor.psl)
-            if flat:
-                rows.append(url_features.compute_flat(sources, lab.world.alexa))
-            else:
-                rows.append(url_features.compute(sources, lab.world.alexa))
-        return np.asarray(rows)
+        if not flat:  # the f1 columns of the production extractor
+            return lab.extractor.extract_batch(
+                [page.snapshot for page in pages]
+            )[:, group_slices()["f1"]]
+        return np.asarray([
+            url_features.compute_flat(
+                DataSources(page.snapshot, psl=lab.extractor.psl),
+                lab.world.alexa,
+            )
+            for page in pages
+        ])
 
     def run():
         rows = []

@@ -1,11 +1,11 @@
 """Columnar batch feature extraction: one pass per feature group.
 
-The serial :class:`~repro.core.features.extractor.FeatureExtractor`
-walks one page at a time: 212 features, each through its own chain of
-small Python calls (URL parsing, term extraction, per-column numpy
-reductions on tiny arrays).  At batch scale that per-page dispatch —
-not arithmetic — dominates the cost.  :class:`BatchExtractor` computes
-the same 212 columns over an entire snapshot batch:
+This is the only production extraction path: a single page is a batch
+of one.  Computed page by page, the 212 features each run through their
+own chain of small Python calls (URL parsing, term extraction,
+per-column numpy reductions on tiny arrays), and at batch scale that
+dispatch — not arithmetic — dominates the cost.  :class:`BatchExtractor`
+computes the 212 columns over a whole snapshot batch instead:
 
 * all snapshots are **pre-tokenized once** through batch-scoped memo
   pools (:class:`_BatchPools`) — URL parses, term extractions and
@@ -23,14 +23,15 @@ the same 212 columns over an entire snapshot batch:
 * f3/f4/f5 reuse the pooled parses, distributions and term tuples.
 
 Bit-identity contract (enforced by ``tests/core/test_batch_differential``
-and the frozen golden feature matrix): every cell equals the serial
-``extract`` output **to the last bit**.  Two properties make that hold:
+against the per-page oracle in ``tests/core/oracle_features.py``, and by
+the frozen golden feature matrix): every cell equals the straightforward
+per-page computation **to the last bit**.  Two properties make that hold:
 
 1. memo pools only cache pure functions, so pooling changes *when*
    a value is computed, never *what* it is;
 2. f1's stacked reductions run along the innermost axis of a
    C-contiguous ``(sets, stats, links)`` array — numpy's 1-D reduction
-   kernels then consume each row exactly as the serial per-column
+   kernels then consume each row exactly as a per-page per-column
    ``matrix[:, c]`` reduction does, preserving float summation order.
    (Reducing over a *strided* axis instead would regroup partial sums
    and drift by ulps; the differential harness exists to catch exactly
@@ -39,9 +40,9 @@ and the frozen golden feature matrix): every cell equals the serial
 Batch cache protocol: with an :class:`~repro.parallel.cache.AnalysisCache`
 attached, fingerprints are computed once per snapshot, warm rows are
 served straight from the feature store (skipping columnarization
-entirely), and only the misses are columnarized — consulting and
-filling the pair-matrix and distribution stores exactly like the serial
-path, then backfilling the feature store row by row.
+entirely), and only the misses are columnarized — sharing the
+distribution store with target identification, then backfilling the
+feature store row by row.
 """
 
 from __future__ import annotations
@@ -241,7 +242,7 @@ class _BatchPools:
         return self._parse(url)
 
     def parse(self, url: str) -> ParsedUrl:
-        """Pooled strict parse; unparsable URLs raise like the serial path."""
+        """Pooled strict parse; unparsable URLs raise like ``parse_url``."""
         parsed = self._parse(url)
         if parsed is None:
             # Re-parse to raise the original error with its message.
@@ -426,8 +427,8 @@ class BatchExtractor:
 
     Shares the extractor's configuration (Alexa ranking, PSL, term
     metric) and its :class:`~repro.parallel.cache.AnalysisCache`;
-    :meth:`extract_batch` returns the same matrix as stacking the
-    serial ``extract`` rows, bit for bit, with warm cache rows skipping
+    :meth:`extract_batch` returns the same rows however the snapshots
+    are batched, bit for bit, with warm cache rows skipping
     columnarization entirely.
     """
 
@@ -446,7 +447,9 @@ class BatchExtractor:
         (one per snapshot, ``None`` entries recomputed on demand) so
         callers that already fingerprinted — the pipeline's verdict
         memo, the serving engine — don't pay the hash twice.  Emits one
-        ``extract.batch`` span carrying batch size and cache-hit count.
+        ``extract`` span carrying batch size and cache-hit count, with
+        one ``extract.f1`` .. ``extract.f5`` child per feature group
+        when any row misses the cache.
         """
         snapshots = list(snapshots)
         extractor = self.extractor
@@ -454,25 +457,21 @@ class BatchExtractor:
         if not snapshots:
             return out
         cache = extractor.cache
-        with tracer.span("extract.batch", n_pages=len(snapshots)) as span:
-            if cache is not None:
-                if keys is None:
-                    keys = [None] * len(snapshots)
-                misses: list[int] = []
-                hits = 0
-                for index, snapshot in enumerate(snapshots):
+        with tracer.span("extract", n_pages=len(snapshots)) as span:
+            if keys is None or cache is None:
+                keys = [None] * len(snapshots)
+            misses: list[int] = []
+            for index, snapshot in enumerate(snapshots):
+                row = None
+                if cache is not None:
                     if keys[index] is None:
                         keys[index] = snapshot_fingerprint(snapshot)
                     row = cache.get_features(keys[index])
-                    if row is None:
-                        misses.append(index)
-                    else:
-                        out[index] = row
-                        hits += 1
-                span.set(cache_hits=hits)
-            else:
-                keys = [None] * len(snapshots)
-                misses = list(range(len(snapshots)))
+                if row is None:
+                    misses.append(index)
+                else:
+                    out[index] = row
+            span.set(cache_hits=len(snapshots) - len(misses))
             if not misses:
                 return out
             pools = _BatchPools(extractor.psl, extractor.alexa)
@@ -488,20 +487,25 @@ class BatchExtractor:
                 for index in misses
             ]
             block = np.zeros((len(misses), _N_FEATURES), dtype=np.float64)
-            self._f1_block(sources, pools, block[:, :_F1_END])
-            self._f2_block(sources, [keys[i] for i in misses],
-                           block[:, _F1_END:_F2_END])
-            self._f3_block(sources, pools, block[:, _F2_END:_F3_END])
-            for row, src in enumerate(sources):
-                block[row, _F3_END:_F4_END] = rdn_usage.compute(src)
-                elements = src.snapshot.elements
-                block[row, _F4_END:] = (
-                    float(len(pools.terms(src.snapshot.text))),
-                    float(len(pools.terms(src.snapshot.title))),
-                    float(elements.input_count),
-                    float(elements.image_count),
-                    float(elements.iframe_count),
-                )
+            with tracer.span("extract.f1"):
+                self._f1_block(sources, pools, block[:, :_F1_END])
+            with tracer.span("extract.f2"):
+                self._f2_block(sources, block[:, _F1_END:_F2_END])
+            with tracer.span("extract.f3"):
+                self._f3_block(sources, pools, block[:, _F2_END:_F3_END])
+            with tracer.span("extract.f4"):
+                for row, src in enumerate(sources):
+                    block[row, _F3_END:_F4_END] = rdn_usage.compute(src)
+            with tracer.span("extract.f5"):
+                for row, src in enumerate(sources):
+                    elements = src.snapshot.elements
+                    block[row, _F4_END:] = (
+                        float(len(pools.terms(src.snapshot.text))),
+                        float(len(pools.terms(src.snapshot.title))),
+                        float(elements.input_count),
+                        float(elements.image_count),
+                        float(elements.iframe_count),
+                    )
             for row, index in enumerate(misses):
                 out[index] = block[row]
                 if cache is not None:
@@ -518,7 +522,7 @@ class BatchExtractor:
         Sets with the same link count stack into one C-contiguous
         ``(sets, 7 stats, links)`` array; reducing along the innermost
         axis computes every set's means/medians/stds in three numpy
-        calls per length class while preserving the serial per-column
+        calls per length class while preserving the per-page per-column
         summation order (see module docstring, property 2).
         """
         # length -> [(row, set index, urls)]
@@ -543,7 +547,7 @@ class BatchExtractor:
                 for position, url in enumerate(urls):
                     stacked[entry, position] = pools.stat_vector(url)
             # (sets, links, stats) -> contiguous (sets, stats, links):
-            # each reduced row is then the exact byte sequence the serial
+            # each reduced row is then the exact byte sequence the per-page
             # path reduces as matrix[:, column].
             columns = np.ascontiguousarray(stacked.transpose(0, 2, 1))
             means = columns.mean(axis=2)
@@ -564,47 +568,27 @@ class BatchExtractor:
                 block[row, base + 3:stop:3] = stds[entry]
 
     def _f2_block(
-        self, sources: list[_PooledSources], keys: list[str | None],
-        block: np.ndarray,
+        self, sources: list[_PooledSources], block: np.ndarray
     ) -> None:
-        """f2, batched: pair matrices from cache or one batched kernel."""
-        extractor = self.extractor
-        cache = extractor.cache
-        metric = extractor.term_metric
-        pending: list[int] = []
-        pending_dists: list[list[TermDistribution]] = []
-        for row, (src, key) in enumerate(zip(sources, keys)):
-            if cache is not None and key is not None:
-                pairs = cache.get_pair_matrix((metric, key))
-                if pairs is not None:
-                    block[row] = pairs
-                    continue
-            pending.append(row)
-            pending_dists.append(
-                [src.distribution(name) for name in F2_DISTRIBUTION_NAMES]
-            )
-        if not pending:
-            return
+        """f2, batched: every page's pair block from one kernel call."""
+        metric = self.extractor.term_metric
+        dists = [
+            [src.distribution(name) for name in F2_DISTRIBUTION_NAMES]
+            for src in sources
+        ]
         if metric == "hellinger":
-            computed = hellinger_pairs_many(
-                pending_dists, term_consistency._PAIR_INDICES
+            block[:] = hellinger_pairs_many(
+                dists, term_consistency._PAIR_INDICES
             )
-        else:
-            distance = term_consistency.METRICS[metric]
-            computed = np.asarray(
-                [
-                    [
-                        distance(dists[first], dists[second])
-                        for first, second in term_consistency._PAIR_INDICES
-                    ]
-                    for dists in pending_dists
-                ],
-                dtype=np.float64,
-            )
-        for position, row in enumerate(pending):
-            block[row] = computed[position]
-            if cache is not None and keys[row] is not None:
-                cache.put_pair_matrix((metric, keys[row]), computed[position])
+            return
+        distance = term_consistency.METRICS[metric]
+        block[:] = [
+            [
+                distance(page[first], page[second])
+                for first, second in term_consistency._PAIR_INDICES
+            ]
+            for page in dists
+        ]
 
     def _f3_block(
         self, sources: list[_PooledSources], pools: _BatchPools,

@@ -22,6 +22,10 @@ Layout (9 + 9 + 4 * (7*3 + 1) = 106):
   the URL.
 
 Empty link sets yield all-zero statistics.
+
+The 106 columns themselves are computed by the columnar batch extractor
+(:mod:`repro.core.features.batch`); the per-URL helpers here serve the
+flat-f1 ablation variant (:func:`compute_flat`).
 """
 
 from __future__ import annotations
@@ -83,22 +87,6 @@ def _set_statistics(urls: list[ParsedUrl], alexa: AlexaRanking) -> list[float]:
             float(values.std()),
         ])
     return out
-
-
-def compute(sources: DataSources, alexa: AlexaRanking) -> list[float]:
-    """Compute the 106 f1 features for one page."""
-    features: list[float] = []
-    features.extend(_full_vector(sources.starting, alexa))
-    features.extend(_full_vector(sources.landing, alexa))
-    for set_name in LINK_SETS:
-        urls = {
-            "intlog": sources.internal_logged,
-            "extlog": sources.external_logged,
-            "intlink": sources.internal_href,
-            "extlink": sources.external_href,
-        }[set_name]
-        features.extend(_set_statistics(urls, alexa))
-    return features
 
 
 def compute_flat(sources: DataSources, alexa: AlexaRanking) -> list[float]:

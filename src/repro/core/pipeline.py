@@ -187,7 +187,7 @@ class KnowYourPhish:
         deadline: Deadline | None = None,
         quality=None,
     ) -> PageVerdict:
-        """Run the full pipeline on one page.
+        """Run the full pipeline on one page: a batch of one.
 
         Accepts either a bare :class:`PageSnapshot` or a
         :class:`~repro.resilience.browser.LoadResult` (whose load-time
@@ -213,95 +213,7 @@ class KnowYourPhish:
         contributions) is fed to it read-only after it is built, so
         monitored and unmonitored calls return bit-identical verdicts.
         """
-        tracer = self.tracer if tracer is None else tracer
-        metrics = self.metrics if metrics is None else metrics
-        degradations: list[str] = []
-        if isinstance(page, LoadResult):
-            degradations.extend(page.degradations)
-            snapshot = page.snapshot
-        else:
-            snapshot = page
-        with tracer.span("analyze", url=snapshot.starting_url) as root:
-            cache = self.detector.extractor.cache
-            sources = DataSources(
-                snapshot,
-                psl=self.detector.extractor.psl,
-                ocr=self.identifier.ocr if self.identifier else None,
-                distribution_cache=cache.distributions if cache else None,
-                cache_key=snapshot_fingerprint(snapshot) if cache else None,
-            )
-
-            def _verdict(
-                final: str, confidence: float, **kwargs
-            ) -> PageVerdict:
-                tags = degradations + sorted(sources.degradation_notes)
-                root.set(verdict=final, degraded=bool(tags))
-                metrics.inc("verdicts_total", verdict=final)
-                if tags:
-                    metrics.inc("verdicts_degraded_total")
-                result = PageVerdict(
-                    verdict=final,
-                    confidence=confidence,
-                    degraded=bool(tags),
-                    degradations=tags,
-                    **kwargs,
-                )
-                if quality is not None:
-                    self._quality_tap(
-                        quality, snapshot.starting_url, vector, result
-                    )
-                return result
-
-            vector = self.detector.extractor.extract_from_sources(
-                sources, tracer=tracer
-            )
-            with tracer.span("classify"):
-                confidence = float(
-                    self.detector.predict_proba(vector.reshape(1, -1))[0]
-                )
-            if confidence < self.detector.threshold:
-                return _verdict("legitimate", confidence, targets=[])
-            if self.identifier is None:
-                return _verdict("phish", confidence, targets=[])
-            if deadline is not None and deadline.expired():
-                degradations.append("deadline_exhausted")
-                return _verdict("phish", confidence, targets=[])
-
-            try:
-                with tracer.span("target.identify") as target_span:
-                    identification = self.identifier.identify(
-                        sources, deadline=deadline
-                    )
-                    target_span.set(
-                        step=identification.step,
-                        verdict=identification.verdict,
-                    )
-            except SearchUnavailableError:
-                # Search down / circuit open: fall back to the detector's
-                # tentative flag rather than losing the page entirely.
-                degradations.append("search_unavailable")
-                return _verdict("phish", confidence, targets=[])
-            except DeadlineExceeded:
-                # The budget ran out mid-identification: keep the
-                # detector's tentative flag rather than blowing the
-                # request's deadline on further searches.
-                degradations.append("deadline_exhausted")
-                return _verdict("phish", confidence, targets=[])
-            if identification.verdict == "legitimate":
-                # The identifier confirmed the page's own domain: the
-                # detector's flag was a false positive and is filtered.
-                metrics.inc("fp_filtered_total")
-                final = "legitimate"
-            elif identification.verdict == "phish":
-                final = "phish"
-            else:
-                final = "suspicious"
-            return _verdict(
-                final,
-                confidence,
-                targets=list(identification.targets),
-                identification=identification,
-            )
+        return self._analyze([page], [deadline], tracer, metrics, quality)[0]
 
     def analyze_batch(
         self,
@@ -310,156 +222,171 @@ class KnowYourPhish:
         metrics: AnyMetrics | None = None,
         quality=None,
     ) -> list[PageVerdict]:
-        """Columnar analysis of already-loaded pages, in input order.
+        """Analyze already-loaded pages, in input order.
 
-        The batch counterpart of :meth:`analyze`: features come from
-        one :meth:`~repro.core.features.extractor.FeatureExtractor.extract_batch`
-        pass, classification from one compiled-ensemble
-        ``predict_proba`` call, and only the flagged pages proceed to
-        per-page target identification — in input order, so stateful
-        collaborators (search engine, circuit breakers, caches) see the
-        exact call sequence of the per-page loop.  Verdicts — final
-        label, confidence, targets, degradation tags — and metric
-        increments are identical to ``[self.analyze(page) for page in
-        pages]``; the differential harness pins this.
+        The same single analysis path as :meth:`analyze`, over many
+        pages at once and without per-page deadlines: verdicts, metric
+        increments and quality observations equal
+        ``[self.analyze(page) for page in pages]``.
+        """
+        pages = list(pages)
+        return self._analyze(
+            pages, [None] * len(pages), tracer, metrics, quality
+        )
 
-        Unlike :meth:`analyze` this path takes no per-page deadline:
-        callers with page budgets (the budgeted batch path, budgeted
-        serve requests) keep the per-page route, whose deadline reads
-        interleave with the clock exactly as before.
+    def _analyze(
+        self,
+        pages: list,
+        deadlines: list[Deadline | None],
+        tracer: AnyTracer | None,
+        metrics: AnyMetrics | None,
+        quality,
+    ) -> list[PageVerdict]:
+        """The pipeline's one analysis path: loaded pages to verdicts.
 
-        Tracing emits a single ``analyze.batch`` span (with the
-        ``extract.batch`` child) instead of per-page ``analyze`` trees,
-        so observed runs that must preserve per-page span dumps should
-        keep calling :meth:`analyze`.
-
-        ``quality`` taps a :class:`~repro.obs.quality.QualityMonitor`
-        with each finished verdict and its matrix row's group means,
-        in input order — the same observation stream the per-page loop
-        feeds, so drift windows cannot tell the two paths apart.
+        Features come from one
+        :meth:`~repro.core.features.extractor.FeatureExtractor.extract_batch`
+        pass and scores from one ``predict_proba`` call; then each page
+        gets its verdict in input order, flagged pages through target
+        identification under their own deadline — so stateful
+        collaborators (search engine, circuit breakers, OCR, caches)
+        see one call sequence however the pages are grouped.  Traced as
+        one ``analyze`` span (``n_pages=``, ``flagged=``) holding the
+        ``extract`` and ``classify`` spans and one ``target.identify``
+        span per identified page.
         """
         tracer = self.tracer if tracer is None else tracer
         metrics = self.metrics if metrics is None else metrics
-        pages = list(pages)
         if not pages:
             return []
-        load_tags: list[list[str]] = []
-        snapshots: list[PageSnapshot] = []
-        for page in pages:
-            if isinstance(page, LoadResult):
-                load_tags.append(list(page.degradations))
-                snapshots.append(page.snapshot)
-            else:
-                load_tags.append([])
-                snapshots.append(page)
-        cache = self.detector.extractor.cache
+        snapshots = [
+            page.snapshot if isinstance(page, LoadResult) else page
+            for page in pages
+        ]
         keys: list[str | None] = (
             [snapshot_fingerprint(snapshot) for snapshot in snapshots]
-            if cache
+            if self.detector.extractor.cache is not None
             else [None] * len(snapshots)
         )
-
-        def _finish(
-            final: str,
-            confidence: float,
-            degradations: list[str],
-            sources: DataSources | None,
-            **kwargs,
-        ) -> PageVerdict:
-            notes = sorted(sources.degradation_notes) if sources else []
-            tags = degradations + notes
-            metrics.inc("verdicts_total", verdict=final)
-            if tags:
-                metrics.inc("verdicts_degraded_total")
-            result = PageVerdict(
-                verdict=final,
-                confidence=confidence,
-                degraded=bool(tags),
-                degradations=tags,
-                **kwargs,
-            )
-            if quality is not None:
-                self._quality_tap(
-                    quality,
-                    snapshots[index].starting_url,
-                    matrix[index],
-                    result,
-                )
-            return result
-
-        with tracer.span("analyze.batch", n_pages=len(pages)) as root:
+        with tracer.span("analyze", n_pages=len(pages)) as root:
             matrix = self.detector.extractor.extract_batch(
                 snapshots, tracer=tracer, keys=keys
             )
             with tracer.span("classify", n_pages=len(pages)):
                 confidences = self.detector.predict_proba(matrix)
             verdicts: list[PageVerdict] = []
-            flagged = 0
-            for index, snapshot in enumerate(snapshots):
-                confidence = float(confidences[index])
-                degradations = list(load_tags[index])
-                if confidence < self.detector.threshold:
-                    verdicts.append(
-                        _finish("legitimate", confidence, degradations,
-                                None, targets=[])
-                    )
-                    continue
-                flagged += 1
-                if self.identifier is None:
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                None, targets=[])
-                    )
-                    continue
-                sources = DataSources(
-                    snapshot,
-                    psl=self.detector.extractor.psl,
-                    ocr=self.identifier.ocr,
-                    distribution_cache=(
-                        cache.distributions if cache else None
-                    ),
-                    cache_key=keys[index],
+            for index, page in enumerate(pages):
+                verdict = self._verdict(
+                    page, keys[index], float(confidences[index]),
+                    deadlines[index], tracer, metrics,
                 )
-                try:
-                    with tracer.span("target.identify") as target_span:
-                        identification = self.identifier.identify(sources)
-                        target_span.set(
-                            step=identification.step,
-                            verdict=identification.verdict,
-                        )
-                except SearchUnavailableError:
-                    degradations.append("search_unavailable")
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                sources, targets=[])
+                if quality is not None:
+                    self._quality_tap(
+                        quality, snapshots[index].starting_url,
+                        matrix[index], verdict,
                     )
-                    continue
-                except DeadlineExceeded:
-                    degradations.append("deadline_exhausted")
-                    verdicts.append(
-                        _finish("phish", confidence, degradations,
-                                sources, targets=[])
-                    )
-                    continue
-                if identification.verdict == "legitimate":
-                    metrics.inc("fp_filtered_total")
-                    final = "legitimate"
-                elif identification.verdict == "phish":
-                    final = "phish"
-                else:
-                    final = "suspicious"
-                verdicts.append(
-                    _finish(
-                        final,
-                        confidence,
-                        degradations,
-                        sources,
-                        targets=list(identification.targets),
-                        identification=identification,
-                    )
-                )
-            root.set(flagged=flagged)
+                verdicts.append(verdict)
+            root.set(flagged=int(
+                (confidences >= self.detector.threshold).sum()
+            ))
         return verdicts
+
+    def _verdict(
+        self,
+        page: PageSnapshot | LoadResult,
+        key: str | None,
+        confidence: float,
+        deadline: Deadline | None,
+        tracer: AnyTracer,
+        metrics: AnyMetrics,
+    ) -> PageVerdict:
+        """One page's verdict from its classifier confidence."""
+        if isinstance(page, LoadResult):
+            tags = list(page.degradations)
+            snapshot = page.snapshot
+        else:
+            tags = []
+            snapshot = page
+        final = "legitimate" if confidence < self.detector.threshold \
+            else "phish"
+        identification: TargetIdentification | None = None
+        if final == "phish" and self.identifier is not None:
+            if deadline is not None and deadline.expired():
+                tags.append("deadline_exhausted")
+            else:
+                final, identification = self._identify(
+                    snapshot, key, deadline, tracer, metrics, tags
+                )
+        metrics.inc("verdicts_total", verdict=final)
+        if tags:
+            metrics.inc("verdicts_degraded_total")
+        return PageVerdict(
+            verdict=final,
+            confidence=confidence,
+            targets=(
+                list(identification.targets) if identification is not None
+                else []
+            ),
+            identification=identification,
+            degraded=bool(tags),
+            degradations=tags,
+        )
+
+    def _identify(
+        self,
+        snapshot: PageSnapshot,
+        key: str | None,
+        deadline: Deadline | None,
+        tracer: AnyTracer,
+        metrics: AnyMetrics,
+        tags: list[str],
+    ) -> tuple[str, TargetIdentification | None]:
+        """Target identification of one flagged page.
+
+        Returns the final label and the identification (``None`` when
+        it failed); failure and OCR degradation tags are appended to
+        ``tags``.
+        """
+        cache = self.detector.extractor.cache
+        sources = DataSources(
+            snapshot,
+            psl=self.detector.extractor.psl,
+            ocr=self.identifier.ocr,
+            distribution_cache=(
+                cache.distributions if cache is not None else None
+            ),
+            cache_key=key,
+        )
+        final = "phish"
+        identification: TargetIdentification | None = None
+        try:
+            with tracer.span("target.identify") as target_span:
+                identification = self.identifier.identify(
+                    sources, deadline=deadline
+                )
+                target_span.set(
+                    step=identification.step,
+                    verdict=identification.verdict,
+                )
+        except SearchUnavailableError:
+            # Search down / circuit open: fall back to the detector's
+            # tentative flag rather than losing the page entirely.
+            tags.append("search_unavailable")
+        except DeadlineExceeded:
+            # The budget ran out mid-identification: keep the detector's
+            # tentative flag rather than blowing the request's deadline
+            # on further searches.
+            tags.append("deadline_exhausted")
+        else:
+            if identification.verdict == "legitimate":
+                # The identifier confirmed the page's own domain: the
+                # detector's flag was a false positive and is filtered.
+                metrics.inc("fp_filtered_total")
+                final = "legitimate"
+            elif identification.verdict != "phish":
+                final = "suspicious"
+        tags.extend(sorted(sources.degradation_notes))
+        return final, identification
 
     def analyze_many(
         self, urls, browser, pool=None, page_budget=None, quality=None
@@ -470,10 +397,11 @@ class KnowYourPhish:
         :func:`repro.resilience.batch.analyze_many`; see there for the
         quarantine semantics.  ``browser`` is ideally a
         :class:`~repro.resilience.browser.ResilientBrowser` so transient
-        faults are retried before a page is given up on.  ``pool`` is an
-        optional :class:`~repro.parallel.WorkerPool`; loads stay serial,
-        per-page analysis fans out, and the report is identical to the
-        serial run (same verdicts, same order).  ``page_budget`` gives
+        faults are retried before a page is given up on.  Loads stay
+        serial; the loaded pages go to :meth:`analyze_batch`, per chunk
+        of the optional :class:`~repro.parallel.WorkerPool` ``pool``,
+        and the report is identical to the serial run (same verdicts,
+        same order).  ``page_budget`` gives
         every page its own end-to-end deadline (load + analysis); see
         the batch layer for how leftover budget carries into analysis.
         The pipeline's tracer and metrics observe the whole batch (each

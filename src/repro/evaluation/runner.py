@@ -110,8 +110,8 @@ class Lab:
         is set.  Threads share this Lab's analysis cache; processes
         work on copies of it.
     cache:
-        Whether to memoize term distributions, pair matrices and feature
-        vectors by snapshot content hash (default on).
+        Whether to memoize term distributions and feature vectors by
+        snapshot content hash (default on).
     tree_method:
         Split-finding strategy for every trained detector:
         ``"presort"`` (default; bit-identical to ``"exact"`` but much
@@ -841,8 +841,9 @@ class Lab:
         warm runs reuse one filled by a priming pass over the same
         workload.  Each configuration runs ``repeats`` times (cold
         modes rebuild their cache every round) and reports the fastest
-        round — min-of-N keeps the mode-vs-mode comparisons stable on
-        a noisy machine.
+        round, plus every round's seconds (``round_seconds``): rounds
+        are interleaved, so the k-th rounds of two modes ran back to
+        back and their ratio is a paired comparison.
         """
         from repro.core.pipeline import KnowYourPhish
         from repro.web.browser import Browser as PlainBrowser
@@ -882,7 +883,7 @@ class Lab:
             mode: WorkerPool(workers=run_workers, backend=backend)
             for mode, run_workers, _cache in runs if run_workers
         }
-        best: dict[str, float] = {mode: float("inf") for mode, _w, _c in runs}
+        rounds: dict[str, list[float]] = {mode: [] for mode, _w, _c in runs}
         keys: dict[str, list[tuple]] = {}
         try:
             # Interleave the rounds: the machine's speed drifts over a
@@ -900,9 +901,7 @@ class Lab:
                     pool = pools.get(mode)
                     started = time.perf_counter()
                     report = pipeline.analyze_many(urls, browser, pool=pool)
-                    best[mode] = min(
-                        best[mode], time.perf_counter() - started
-                    )
+                    rounds[mode].append(time.perf_counter() - started)
                     keys[mode] = _verdict_key(report)
         finally:
             for pool in pools.values():
@@ -913,7 +912,8 @@ class Lab:
         for mode, run_workers, cache in runs:
             if reference is None:
                 reference = keys[mode]
-            rate = len(urls) / best[mode] if best[mode] else float("inf")
+            best = min(rounds[mode])
+            rate = len(urls) / best if best else float("inf")
             if baseline_rate is None:
                 baseline_rate = rate
             rows.append({
@@ -921,7 +921,8 @@ class Lab:
                 "workers": run_workers or 1,
                 "warm_cache": cache is not None,
                 "pages": len(urls),
-                "seconds": best[mode],
+                "seconds": best,
+                "round_seconds": rounds[mode],
                 "pages_per_sec": rate,
                 "speedup": rate / baseline_rate if baseline_rate else 0.0,
                 "verdicts_match": keys[mode] == reference,
@@ -939,11 +940,12 @@ class Lab:
         and per-page target identification, which no extraction rewrite
         can touch — so the columnar path's real effect is measured at
         the stage level.  Three configurations over the robustness
-        workload's snapshots: the per-page ``extract`` loop, a cold
-        ``extract_batch`` pass, and a warm (cache-hit) ``extract_batch``
-        pass.  Each is timed ``repeats`` times and the fastest run kept
-        (min-of-N is the stable estimator on a noisy machine).  Every
-        row reports pages/sec and the speedup over the per-page loop;
+        workload's snapshots: a loop of single-page ``extract`` calls
+        (batches of one), a cold ``extract_batch`` pass, and a warm
+        (cache-hit) ``extract_batch`` pass.  Each is timed ``repeats``
+        times in interleaved rounds; every row reports pages/sec and
+        the speedup over the per-page loop of the fastest round, and
+        every round's seconds (``round_seconds``) for paired ratios;
         ``bit_identical`` re-checks the differential guarantee — batch
         cells equal serial cells to the last bit — on live corpus data.
         """
@@ -969,7 +971,7 @@ class Lab:
             ).extract_batch(snapshots)),
             ("batch/warm", lambda: warm_extractor.extract_batch(snapshots)),
         )
-        best = {mode: float("inf") for mode, _fn in configs}
+        rounds: dict[str, list[float]] = {mode: [] for mode, _fn in configs}
         matrices = {}
         # Interleaved rounds, for the same reason as in
         # :meth:`throughput_benchmark`: machine-speed drift must hit
@@ -978,19 +980,20 @@ class Lab:
             for mode, fn in configs:
                 started = time.perf_counter()
                 matrices[mode] = fn()
-                best[mode] = min(best[mode], time.perf_counter() - started)
+                rounds[mode].append(time.perf_counter() - started)
 
         n_pages = len(snapshots)
-        base_rate = n_pages / best["per_page/cold"]
+        base_rate = n_pages / min(rounds["per_page/cold"])
         reference = matrices["per_page/cold"]
         rows = []
         for mode, _fn in configs:
-            seconds, matrix = best[mode], matrices[mode]
+            seconds, matrix = min(rounds[mode]), matrices[mode]
             rate = n_pages / seconds if seconds else float("inf")
             rows.append({
                 "mode": mode,
                 "pages": n_pages,
                 "seconds": seconds,
+                "round_seconds": rounds[mode],
                 "pages_per_sec": rate,
                 "speedup": rate / base_rate,
                 "bit_identical": bool(np.array_equal(matrix, reference)),

@@ -36,12 +36,21 @@ class HtmlNode:
         return f"<HtmlNode {self.tag} children={len(self.children)}>"
 
     # ---- traversal ----------------------------------------------------
+    # Traversals keep an explicit stack of child iterators instead of
+    # recursing: hostile pages nest elements deeper than Python's
+    # recursion limit.
     def iter_nodes(self):
         """Depth-first iteration over this node and all element descendants."""
         yield self
-        for child in self.children:
-            if isinstance(child, HtmlNode):
-                yield from child.iter_nodes()
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, HtmlNode):
+                    yield child
+                    stack.append(iter(child.children))
+                    break
+            else:
+                stack.pop()
 
     def find_all(self, tag: str) -> list["HtmlNode"]:
         """All descendant elements (including self) with the given tag."""
@@ -68,13 +77,18 @@ class HtmlNode:
     def _collect_text(self, fragments: list[str]) -> None:
         if self.tag in NON_RENDERED:
             return
-        for child in self.children:
-            if isinstance(child, str):
-                stripped = child.strip()
-                if stripped:
-                    fragments.append(stripped)
+        stack = [iter(self.children)]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, str):
+                    stripped = child.strip()
+                    if stripped:
+                        fragments.append(stripped)
+                elif child.tag not in NON_RENDERED:
+                    stack.append(iter(child.children))
+                    break
             else:
-                child._collect_text(fragments)
+                stack.pop()
 
 
 class _DomBuilder(HTMLParser):

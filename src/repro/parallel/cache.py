@@ -12,10 +12,9 @@ module amortises that work:
   counters, the same eviction idiom as the add-on's
   :class:`~repro.addon.cache.VerdictCache` (minus the TTL: features are
   a pure function of content and never go stale);
-* :class:`AnalysisCache` — one bundle of three keyed stores for the
+* :class:`AnalysisCache` — one bundle of two keyed stores for the
   quantities worth memoizing per snapshot: the Table I term
-  distributions, the 66-entry f2 pair matrix, and the full
-  212-dimension feature vector.
+  distributions and the full 212-dimension feature vector.
 
 Cached values are immutable or defensively copied, so a hit is
 indistinguishable from a recomputation — bit-identical, by construction.
@@ -142,12 +141,13 @@ class LruCache:
 class AnalysisCache:
     """Memoization bundle for per-snapshot analysis artefacts.
 
-    Three independent LRU stores, all keyed by snapshot fingerprint
-    (plus the term metric where the value depends on it):
+    Two independent LRU stores, both keyed by snapshot fingerprint:
 
-    * ``features`` — full 212-dimension feature vectors;
-    * ``pair_matrices`` — the f2 pairwise-distance block (66 values);
-    * ``distributions`` — individual Table I term distributions.
+    * ``features`` — full 212-dimension feature vectors, filled and
+      read by the batch extractor;
+    * ``distributions`` — individual Table I term distributions,
+      shared between extraction and target identification of the
+      same content.
 
     One cache belongs to one extractor configuration: feature vectors
     depend on the Alexa ranking and term metric, so sharing a cache
@@ -158,14 +158,13 @@ class AnalysisCache:
     Parameters
     ----------
     max_entries:
-        Bound for the feature and pair-matrix stores; the distribution
-        store holds up to 13 entries per snapshot and is bounded at
+        Bound for the feature store; the distribution store holds up
+        to 13 entries per snapshot and is bounded at
         ``16 * max_entries``.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
         self.features = LruCache(max_entries)
-        self.pair_matrices = LruCache(max_entries)
         self.distributions = LruCache(16 * max_entries)
 
     # ------------------------------------------------------------------
@@ -178,27 +177,15 @@ class AnalysisCache:
         """Store a feature vector (copied, so later mutation is safe)."""
         self.features.put(key, np.array(vector, dtype=np.float64, copy=True))
 
-    def get_pair_matrix(self, key: str) -> np.ndarray | None:
-        """Cached f2 pair block (a defensive copy) or ``None``."""
-        hit = self.pair_matrices.get(key)
-        return None if hit is None else hit.copy()
-
-    def put_pair_matrix(self, key: str, values: np.ndarray) -> None:
-        """Store an f2 pair block."""
-        self.pair_matrices.put(
-            key, np.array(values, dtype=np.float64, copy=True)
-        )
-
     # ------------------------------------------------------------------
     def _stores(self) -> tuple[tuple[str, LruCache], ...]:
         return (
             ("features", self.features),
-            ("pair_matrices", self.pair_matrices),
             ("distributions", self.distributions),
         )
 
     def stats(self) -> dict[str, float]:
-        """Flat hit/miss/eviction summary across all three stores."""
+        """Flat hit/miss/eviction summary across both stores."""
         out: dict[str, float] = {}
         for name, store in self._stores():
             out[f"{name}_entries"] = len(store)
@@ -241,7 +228,6 @@ class AnalysisCache:
     def clear(self) -> None:
         """Drop every entry from every store."""
         self.features.clear()
-        self.pair_matrices.clear()
         self.distributions.clear()
 
 

@@ -123,54 +123,51 @@ class BatchReport:
         }
 
 
-class _TracedAnalyze:
-    """Per-item observed analysis: one fresh tracer/registry per page.
+class _AnalyzePage:
+    """Picklable per-page analysis of one ``(loaded, remaining)`` pair.
 
-    Mapped over loaded pages (serially or through a
-    :class:`~repro.parallel.WorkerPool`).  Every call records into its
-    *own* :class:`~repro.obs.trace.Tracer` and
+    ``remaining`` is the budget the page load left over (``None`` when
+    unbudgeted); the deadline is rebuilt from it at analysis start, so
+    queue position in the load phase never charges against a later
+    page's analysis.  The clock is shared (pickled along, for process
+    workers) so manual-clock tests stay deterministic there too.
+
+    With ``observed=True`` every call records into its *own*
+    :class:`~repro.obs.trace.Tracer` and
     :class:`~repro.obs.metrics.MetricsRegistry` and ships the finished
     span records + metric snapshot back with the verdict; the caller
     splices them into the batch-level instruments **in input order**.
     That isolation is what makes span dumps byte-identical across
     serial, thread and process backends — worker scheduling can never
     interleave two pages' spans.
-
-    The clock is shared (pickled along, for process workers) so
-    manual-clock tests stay deterministic there too.
-
-    With ``budgeted=True`` each item is a ``(loaded, remaining)`` pair
-    and the analysis runs under a fresh :class:`Deadline` holding the
-    budget the page load left over.
     """
 
-    def __init__(self, pipeline, clock, budgeted: bool = False) -> None:
+    def __init__(self, pipeline, clock, observed: bool) -> None:
         self.pipeline = pipeline
         self.clock = clock
-        self.budgeted = budgeted
+        self.observed = observed
 
-    def __call__(self, item) -> tuple[object, list, dict]:
+    def deadline(self, remaining: float | None) -> Deadline | None:
+        """The analysis deadline for a load that left ``remaining``."""
+        if remaining is None:
+            return None
+        return Deadline(remaining, clock=self.clock)
+
+    def __call__(self, item):
+        loaded, remaining = item
+        deadline = self.deadline(remaining)
+        if not self.observed:
+            return self.pipeline.analyze(loaded, deadline=deadline)
         tracer = Tracer(clock=self.clock)
         metrics = MetricsRegistry()
-        if self.budgeted:
-            loaded, remaining = item
-            deadline = (
-                Deadline(remaining, clock=self.clock)
-                if remaining is not None
-                else None
-            )
-            verdict = self.pipeline.analyze(
-                loaded, tracer=tracer, metrics=metrics, deadline=deadline
-            )
-        else:
-            verdict = self.pipeline.analyze(
-                item, tracer=tracer, metrics=metrics
-            )
+        verdict = self.pipeline.analyze(
+            loaded, tracer=tracer, metrics=metrics, deadline=deadline
+        )
         return verdict, tracer.export_records(), metrics.as_dict()
 
 
 class _TracedChunk:
-    """Chunk adapter for :class:`_TracedAnalyze`.
+    """Chunk adapter for an observed :class:`_AnalyzePage`.
 
     Maps the per-item traced worker over a contiguous chunk so observed
     runs can use :meth:`~repro.parallel.WorkerPool.map_observed_chunks`
@@ -179,35 +176,11 @@ class _TracedChunk:
     isolation that makes span dumps backend-independent.
     """
 
-    def __init__(self, worker: _TracedAnalyze) -> None:
+    def __init__(self, worker: _AnalyzePage) -> None:
         self.worker = worker
 
     def __call__(self, chunk: list) -> list[tuple[object, list, dict]]:
         return [self.worker(item) for item in chunk]
-
-
-class _BudgetedAnalyze:
-    """Picklable analysis wrapper carrying each page's leftover budget.
-
-    Mapped over ``(loaded, remaining)`` pairs in the fast
-    (unobserved) path when ``analyze_many`` runs with a page budget:
-    the deadline is reconstructed at analysis start from the seconds
-    the load left over, so queue position in the load phase never
-    charges against a later page's analysis.
-    """
-
-    def __init__(self, pipeline, clock) -> None:
-        self.pipeline = pipeline
-        self.clock = clock
-
-    def __call__(self, item):
-        loaded, remaining = item
-        deadline = (
-            Deadline(remaining, clock=self.clock)
-            if remaining is not None
-            else None
-        )
-        return self.pipeline.analyze(loaded, deadline=deadline)
 
 
 def analyze_many(
@@ -224,8 +197,9 @@ def analyze_many(
     Parameters
     ----------
     pipeline:
-        A :class:`~repro.core.pipeline.KnowYourPhish` (anything with an
-        ``analyze`` accepting a snapshot or :class:`LoadResult`).
+        A :class:`~repro.core.pipeline.KnowYourPhish` (anything with
+        ``analyze`` and ``analyze_batch`` accepting snapshots or
+        :class:`LoadResult` objects).
     browser:
         A :class:`ResilientBrowser` (preferred) or plain
         :class:`~repro.web.browser.Browser`.
@@ -243,9 +217,11 @@ def analyze_many(
         ``pool=None`` for any backend and worker count.
     tracer, metrics:
         Batch-level instruments.  Loads are observed live (the phase-1
-        ``batch.load`` span); each page's analysis records into a fresh
-        per-item tracer/registry whose output is spliced back in input
-        order, so dumps are deterministic across backends and runs.
+        ``batch.load`` span).  Pages are analyzed one at a time: without
+        a pool each records straight into these instruments; with one,
+        each records into a fresh per-item tracer/registry whose output
+        is spliced back in input order — the same dump either way, so
+        dumps are deterministic across backends and runs.
         With both left at their null defaults the function takes the
         exact pre-observability fast path.
     page_budget:
@@ -293,61 +269,58 @@ def analyze_many(
 
     # Phase 2 (parallel): analyze the pages that loaded.
     loads = [loaded for _url, loaded in loaded_pages]
-    budgeted = page_budget is not None
-    batch_analyze = getattr(pipeline, "analyze_batch", None)
+    items = list(zip(loads, leftovers))
     if not observed:
-        if budgeted:
+        if page_budget is not None:
             # Per-page deadlines interleave clock reads with analysis;
-            # the batch path has no per-page deadline, so budgeted runs
-            # keep the per-item route.
-            worker = _BudgetedAnalyze(pipeline, clock)
-            items = list(zip(loads, leftovers))
+            # ``analyze_batch`` takes no per-page deadline, so budgeted
+            # runs go page by page through ``analyze``.
+            worker = _AnalyzePage(pipeline, clock, observed=False)
             if pool is None:
                 verdicts = [worker(item) for item in items]
             else:
                 verdicts = pool.map(worker, items)
         elif pool is None:
-            # The reference path: one page at a time, exactly the
-            # sequence every other execution strategy must reproduce.
-            # Callers wanting columnar serial analysis use
-            # ``pipeline.analyze_batch`` directly.
-            verdicts = [pipeline.analyze(loaded) for loaded in loads]
-        elif batch_analyze is not None:
-            # Columnar pooled path: one scheduling round-trip and one
-            # batch-extraction pass per chunk, instead of the per-page
-            # dispatch whose overhead historically made the pool lose
-            # to serial.  The chunk count is backend-aware (process
+            verdicts = pipeline.analyze_batch(loads)
+        else:
+            # One scheduling round-trip and one ``analyze_batch`` call
+            # per chunk; the chunk count is backend-aware (process
             # workers chunk per worker, the GIL-bound thread backend
-            # runs one chunk).  Verdicts are bit-identical to the
-            # per-page loop (the differential harness pins this), so
-            # this is purely a throughput change.
+            # runs one chunk).  Verdicts do not depend on the grouping.
             verdicts = pool.map_chunks(
-                batch_analyze, loads,
+                pipeline.analyze_batch, loads,
                 chunk_count=pool.columnar_chunks(len(loads)),
             )
-        else:
-            verdicts = pool.map(pipeline.analyze, loads)
+    elif pool is None:
+        # Serially nothing can interleave two pages' spans, so each page
+        # records straight into the batch instruments: the same span
+        # trees, ids and totals as splicing isolated per-page records,
+        # without building and copying them.
+        worker = _AnalyzePage(pipeline, tracer.clock, observed=True)
+        verdicts = [
+            pipeline.analyze(
+                loaded, tracer=tracer, metrics=metrics,
+                deadline=worker.deadline(remaining),
+            )
+            for loaded, remaining in items
+        ]
     else:
-        worker = _TracedAnalyze(pipeline, tracer.clock, budgeted=budgeted)
-        items = list(zip(loads, leftovers)) if budgeted else loads
-        if pool is None:
-            observed_results = [worker(item) for item in items]
-        else:
-            # Cache counters accumulated inside process workers would
-            # otherwise be lost with the pipeline copy; the probe ships
-            # per-chunk deltas back for merging.  Chunked dispatch keeps
-            # one scheduling round-trip per chunk; per-page isolation
-            # lives inside the chunk worker.
-            cache = getattr(
-                getattr(getattr(pipeline, "detector", None), "extractor", None),
-                "cache",
-                None,
-            )
-            probes = [CacheCountsProbe(cache)] if cache is not None else []
-            observed_results = pool.map_observed_chunks(
-                _TracedChunk(worker), items, probes=probes,
-                chunk_count=pool.columnar_chunks(len(items)),
-            )
+        worker = _AnalyzePage(pipeline, tracer.clock, observed=True)
+        # Cache counters accumulated inside process workers would
+        # otherwise be lost with the pipeline copy; the probe ships
+        # per-chunk deltas back for merging.  Chunked dispatch keeps
+        # one scheduling round-trip per chunk; per-page isolation
+        # lives inside the chunk worker.
+        cache = getattr(
+            getattr(getattr(pipeline, "detector", None), "extractor", None),
+            "cache",
+            None,
+        )
+        probes = [CacheCountsProbe(cache)] if cache is not None else []
+        observed_results = pool.map_observed_chunks(
+            _TracedChunk(worker), items, probes=probes,
+            chunk_count=pool.columnar_chunks(len(items)),
+        )
         verdicts = []
         for verdict, records, snapshot in observed_results:
             verdicts.append(verdict)

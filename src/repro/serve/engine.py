@@ -408,10 +408,12 @@ class ServingEngine:
         """True when this tick's analyses may run as one columnar batch.
 
         Requires the pipeline to expose ``analyze_batch`` and both the
-        engine and pipeline tracers to be disabled: batched analysis
-        emits one ``analyze.batch`` span instead of per-request
-        ``serve.request``/``analyze`` trees, so traced runs keep the
-        per-request path to preserve their span dumps byte for byte.
+        engine and pipeline tracers to be disabled: a batched tick
+        emits one ``analyze`` span over all its pages instead of one
+        ``serve.request``/``analyze`` tree per request, so traced runs
+        keep the per-request path to preserve their span dumps byte
+        for byte.  Verdicts are the same either way: ``analyze`` and
+        ``analyze_batch`` run the pipeline's one analysis path.
         """
         return (
             getattr(self.pipeline, "analyze_batch", None) is not None

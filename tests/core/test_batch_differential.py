@@ -4,10 +4,12 @@ The columnar :class:`~repro.core.features.batch.BatchExtractor` and the
 :class:`~repro.ml.compiled.CompiledEnsemble` are pure performance
 rewrites of contractually frozen code paths (PHL301-303, the golden
 feature matrix, the boosting reference loop).  This suite is the lock on
-that contract: every cell the batch path produces must equal the serial
-per-page path **bit for bit** (``np.array_equal`` on float64, not
-``allclose``), and compiled ensemble scores must equal the per-row tree
-loop the same way, across all three ``tree_method`` strategies.
+that contract: every cell the batch path produces — for a whole batch
+and for a batch of one, which is what ``extract`` runs — must equal the
+independent per-page oracle (``oracle_features``) **bit for bit**
+(``np.array_equal`` on float64, not ``allclose``), and compiled ensemble
+scores must equal the per-row tree loop the same way, across all three
+``tree_method`` strategies.
 
 Hypothesis drives the page generator through the shapes that historically
 break columnar rewrites: empty pages, pages with no login form, unicode
@@ -34,6 +36,7 @@ from repro.urls.alexa import AlexaRanking
 from repro.urls.parsing import UrlParseError, parse_url
 from repro.urls.public_suffix import default_psl
 from repro.web.page import PageSnapshot
+from tests.core import oracle_features as oracle
 
 # ---------------------------------------------------------------------------
 # Page generators
@@ -139,25 +142,35 @@ def _alexa():
 
 
 # ---------------------------------------------------------------------------
-# Batch extraction vs serial per-page extraction
+# Batch extraction vs the serial per-page oracle
 # ---------------------------------------------------------------------------
+
+
+def _oracle_matrix(pages):
+    """The oracle's rows for ``pages``, stacked (``(0, 212)`` if empty)."""
+    if not pages:
+        return np.zeros((0, 212))
+    return np.vstack([oracle.extract(page, _alexa()) for page in pages])
 
 
 class TestBatchVsSerial:
     def _assert_identical(self, pages):
         extractor = FeatureExtractor(alexa=_alexa())
-        serial = (
+        reference = _oracle_matrix(pages)
+        batch = extractor.extract_batch(pages)
+        single = (
             np.vstack([extractor.extract(page) for page in pages])
             if pages else np.zeros((0, extractor.n_features))
         )
-        batch = extractor.extract_batch(pages)
-        assert batch.dtype == serial.dtype == np.float64
-        assert batch.shape == serial.shape
-        for group, slice_ in _GROUP_SLICES.items():
-            assert np.array_equal(batch[:, slice_], serial[:, slice_]), (
-                f"group {group} diverges: "
-                f"{np.argwhere(batch[:, slice_] != serial[:, slice_])[:5]}"
-            )
+        for matrix in (batch, single):
+            assert matrix.dtype == reference.dtype == np.float64
+            assert matrix.shape == reference.shape
+            for group, slice_ in _GROUP_SLICES.items():
+                got, want = matrix[:, slice_], reference[:, slice_]
+                assert np.array_equal(got, want), (
+                    f"group {group} diverges: "
+                    f"{np.argwhere(got != want)[:5]}"
+                )
 
     @given(st.lists(snapshots(), max_size=8))
     @settings(max_examples=60, deadline=None)
@@ -179,7 +192,7 @@ class TestBatchVsSerial:
 
 
 # ---------------------------------------------------------------------------
-# Cache interaction: warm/cold/evicting batches must agree with serial
+# Cache interaction: warm/cold/evicting batches must agree with the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -230,8 +243,9 @@ class TestCacheInteraction:
         )
         pages = [_corpus(3)[0], partial, _corpus(3, seed=9)[1]]
         extractor = FeatureExtractor(alexa=_alexa())
-        serial = np.vstack([extractor.extract(page) for page in pages])
-        assert np.array_equal(extractor.extract_batch(pages), serial)
+        assert np.array_equal(
+            extractor.extract_batch(pages), _oracle_matrix(pages)
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Tests for the five feature groups and the 212-feature extractor."""
+"""Tests for the five feature groups and the 212-feature extractor.
+
+Group-level behaviour is checked on the per-page oracle
+(``oracle_features``), which the production batch extractor must
+reproduce bit for bit.
+"""
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from repro.core.features import (
 )
 from repro.urls.alexa import AlexaRanking
 from repro.web.page import PageSnapshot
+from tests.core import oracle_features as oracle
 
 
 def snapshot_legit():
@@ -62,6 +68,51 @@ def snapshot_phish():
     )
 
 
+def snapshot_no_links():
+    """A page with no logged or HREF links."""
+    return PageSnapshot(
+        starting_url="http://x.com/", landing_url="http://x.com/",
+        html="<title>t</title><body>b</body>",
+    )
+
+
+def snapshot_ip_url():
+    """A page served from a bare IP address (no MLD to look for)."""
+    return PageSnapshot(
+        starting_url="http://10.1.2.3/x", landing_url="http://10.1.2.3/x",
+        html="<title>t</title><body>text here</body>",
+    )
+
+
+def snapshot_composite_mld():
+    """A page whose MLD concatenates its title terms."""
+    return PageSnapshot(
+        starting_url="https://www.bankofamerica.com/",
+        landing_url="https://www.bankofamerica.com/",
+        html=(
+            "<title>Bank of America</title><body>"
+            "<a href='https://www.bankofamerica.com/bank/america'>x</a>"
+            "</body>"
+        ),
+    )
+
+
+def snapshot_cross_domain_chain():
+    """A page reached through a redirection to another RDN."""
+    return PageSnapshot(
+        starting_url="http://short.io/x",
+        landing_url="http://landing.com/y",
+        redirection_chain=["http://short.io/x", "http://landing.com/y"],
+        html="<body>x</body>",
+    )
+
+
+SNAPSHOTS = (
+    snapshot_legit, snapshot_phish, snapshot_no_links, snapshot_ip_url,
+    snapshot_composite_mld, snapshot_cross_domain_chain,
+)
+
+
 @pytest.fixture(scope="module")
 def alexa():
     return AlexaRanking(["acmebank.com", "cdn.net"])
@@ -69,53 +120,51 @@ def alexa():
 
 class TestF1UrlFeatures:
     def test_count(self, alexa):
-        values = url_features.compute(DataSources(snapshot_legit()), alexa)
+        values = oracle.f1_compute(DataSources(snapshot_legit()), alexa)
         assert len(values) == 106 == url_features.N_FEATURES
 
     def test_names_align(self):
         assert len(url_features.feature_names()) == 106
 
     def test_https_flags(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
+        legit = oracle.f1_compute(DataSources(snapshot_legit()), alexa)
+        phish = oracle.f1_compute(DataSources(snapshot_phish()), alexa)
         names = url_features.feature_names()
         index = names.index("f1.start.https")
         assert legit[index] == 1.0
         assert phish[index] == 0.0
 
     def test_alexa_rank_feature(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
+        legit = oracle.f1_compute(DataSources(snapshot_legit()), alexa)
+        phish = oracle.f1_compute(DataSources(snapshot_phish()), alexa)
         names = url_features.feature_names()
         index = names.index("f1.start.alexa_rank")
         assert legit[index] == 1.0          # ranked first
         assert phish[index] == 1_000_001.0  # unranked
 
     def test_freeurl_dots(self, alexa):
-        phish = url_features.compute(DataSources(snapshot_phish()), alexa)
+        phish = oracle.f1_compute(DataSources(snapshot_phish()), alexa)
         names = url_features.feature_names()
         # subdomains "acmebank.com" -> 2 dots counted (1 inner + 1 trailing)
         assert phish[names.index("f1.start.freeurl_dots")] >= 2
 
     def test_empty_link_sets_zero(self, alexa):
-        snapshot = PageSnapshot(
-            starting_url="http://x.com/", landing_url="http://x.com/",
-            html="<title>t</title><body>b</body>",
-        )
-        values = url_features.compute(DataSources(snapshot), alexa)
+        values = oracle.f1_compute(DataSources(snapshot_no_links()), alexa)
         names = url_features.feature_names()
         start = names.index("f1.extlog.https_ratio")
         assert all(v == 0.0 for v in values[start:start + 22])
+        f1 = FeatureExtractor(alexa=alexa).extract(snapshot_no_links())[:106]
+        assert not f1[start:start + 22].any()
 
     def test_mld_length(self, alexa):
-        legit = url_features.compute(DataSources(snapshot_legit()), alexa)
+        legit = oracle.f1_compute(DataSources(snapshot_legit()), alexa)
         names = url_features.feature_names()
         assert legit[names.index("f1.start.mld_length")] == len("acmebank")
 
 
 class TestF2TermConsistency:
     def test_count_and_bounds(self):
-        values = term_consistency.compute(DataSources(snapshot_legit()))
+        values = oracle.f2_compute(DataSources(snapshot_legit()))
         assert len(values) == 66 == term_consistency.N_FEATURES
         assert all(0.0 <= v <= 1.0 for v in values)
 
@@ -125,8 +174,8 @@ class TestF2TermConsistency:
     def test_consistent_page_lower_rdn_text_distance(self):
         names = term_consistency.feature_names()
         index = names.index("f2.hellinger.text-landrdn")
-        legit = term_consistency.compute(DataSources(snapshot_legit()))
-        phish = term_consistency.compute(DataSources(snapshot_phish()))
+        legit = oracle.f2_compute(DataSources(snapshot_legit()))
+        phish = oracle.f2_compute(DataSources(snapshot_phish()))
         # Legit page's text shares terms with its RDN; phish text does not
         # match the phisher's own gibberish RDN.
         assert legit[index] < phish[index]
@@ -137,41 +186,35 @@ class TestF2TermConsistency:
 
 class TestF3MldUsage:
     def test_count(self):
-        values = mld_usage.compute(DataSources(snapshot_legit()))
+        values = oracle.f3_compute(DataSources(snapshot_legit()))
         assert len(values) == 22 == mld_usage.N_FEATURES
 
     def test_legit_mld_in_text(self):
-        values = mld_usage.compute(DataSources(snapshot_legit()))
+        values = oracle.f3_compute(DataSources(snapshot_legit()))
         names = mld_usage.feature_names()
         assert values[names.index("f3.start_mld.in.text")] == 1.0
         assert values[names.index("f3.start_mld.in.title")] == 1.0
 
     def test_phish_mld_not_in_text(self):
-        values = mld_usage.compute(DataSources(snapshot_phish()))
+        values = oracle.f3_compute(DataSources(snapshot_phish()))
         names = mld_usage.feature_names()
         assert values[names.index("f3.start_mld.in.text")] == 0.0
 
     def test_ip_url_all_zero(self):
-        snapshot = PageSnapshot(
-            starting_url="http://10.1.2.3/x", landing_url="http://10.1.2.3/x",
-            html="<title>t</title><body>text here</body>",
-        )
-        assert mld_usage.compute(DataSources(snapshot)) == [0.0] * 22
+        snapshot = snapshot_ip_url()
+        assert oracle.f3_compute(DataSources(snapshot)) == [0.0] * 22
+        vector = FeatureExtractor().extract(snapshot)
+        assert not vector[feature_set_mask("f3")].any()
 
     def test_substring_mass_positive_for_composite_mld(self):
-        snapshot = PageSnapshot(
-            starting_url="https://www.bankofamerica.com/",
-            landing_url="https://www.bankofamerica.com/",
-            html=(
-                "<title>Bank of America</title><body>"
-                "<a href='https://www.bankofamerica.com/bank/america'>x</a>"
-                "</body>"
-            ),
-        )
-        values = mld_usage.compute(DataSources(snapshot))
+        snapshot = snapshot_composite_mld()
+        values = oracle.f3_compute(DataSources(snapshot))
         names = mld_usage.feature_names()
+        index = names.index("f3.start_mld.mass.title")
         # Title terms "bank", "america" are substrings of "bankofamerica".
-        assert values[names.index("f3.start_mld.mass.title")] > 0.5
+        assert values[index] > 0.5
+        f3 = FeatureExtractor().extract(snapshot)[feature_set_mask("f3")]
+        assert f3[index] == values[index]
 
 
 class TestF4RdnUsage:
@@ -194,13 +237,7 @@ class TestF4RdnUsage:
         assert values[names.index("f4.chain_rdn_switches")] == 0.0
 
     def test_cross_domain_chain_switches(self):
-        snapshot = PageSnapshot(
-            starting_url="http://short.io/x",
-            landing_url="http://landing.com/y",
-            redirection_chain=["http://short.io/x", "http://landing.com/y"],
-            html="<body>x</body>",
-        )
-        values = rdn_usage.compute(DataSources(snapshot))
+        values = rdn_usage.compute(DataSources(snapshot_cross_domain_chain()))
         names = rdn_usage.feature_names()
         assert values[names.index("f4.chain_rdn_switches")] == 1.0
         assert values[names.index("f4.start_land_same_rdn")] == 0.0
@@ -208,7 +245,7 @@ class TestF4RdnUsage:
 
 class TestF5Content:
     def test_count_and_values(self):
-        values = content.compute(DataSources(snapshot_phish()))
+        values = oracle.f5_compute(DataSources(snapshot_phish()))
         assert len(values) == 5 == content.N_FEATURES
         names = content.feature_names()
         assert values[names.index("f5.input_count")] == 3.0
@@ -245,6 +282,16 @@ class TestExtractor:
     def test_default_extractor_needs_no_world(self):
         vector = FeatureExtractor().extract(snapshot_legit())
         assert vector.shape == (212,)
+
+    @pytest.mark.parametrize("metric", ["hellinger", "jaccard"])
+    def test_extract_matches_oracle(self, alexa, metric):
+        extractor = FeatureExtractor(alexa=alexa, term_metric=metric)
+        for make in SNAPSHOTS:
+            snapshot = make()
+            assert np.array_equal(
+                extractor.extract(snapshot),
+                oracle.extract(snapshot, alexa, metric=metric),
+            ), make.__name__
 
 
 class TestFeatureSetMasks:

@@ -6,7 +6,58 @@ from repro.core.detector import PhishingDetector
 from repro.core.features import FeatureExtractor
 from repro.core.pipeline import KnowYourPhish, PageVerdict
 from repro.core.target import TargetIdentifier
+from repro.obs import MetricsRegistry
+from repro.resilience import (
+    CircuitBreaker,
+    GuardedSearchEngine,
+    ManualClock,
+    SearchUnavailableError,
+)
+from repro.resilience.browser import LoadResult
+from repro.resilience.retry import Deadline
+from repro.web.browser import Browser
+from repro.web.faults import FlakyOcr, FlakySearchEngine
+from repro.web.hosting import SyntheticWeb
 from repro.web.ocr import SimulatedOcr
+
+#: The verdict counters every analysis path must increment identically.
+_VERDICT_COUNTERS = (
+    "verdicts_total", "verdicts_degraded_total", "fp_filtered_total",
+)
+
+
+def _key(verdict):
+    return (
+        verdict.verdict, verdict.confidence, tuple(verdict.targets),
+        tuple(verdict.degradations), verdict.degraded,
+    )
+
+
+def _counters(metrics):
+    return sorted(
+        (name, sorted(labels.items()), value)
+        for name, labels, value in metrics.iter_counters()
+        if name in _VERDICT_COUNTERS
+    )
+
+
+def _expired():
+    """A deadline whose budget is already spent."""
+    clock = ManualClock()
+    deadline = Deadline(1.0, clock=clock)
+    clock.advance(1.0)
+    return deadline
+
+
+def _down_search(search):
+    """A search engine forced down behind a circuit breaker."""
+    breaker = CircuitBreaker(
+        failure_threshold=1, recovery_time=300.0, clock=ManualClock(),
+        failure_types=(SearchUnavailableError,),
+    )
+    return GuardedSearchEngine(
+        FlakySearchEngine(search, forced_down=True), breaker=breaker
+    )
 
 
 @pytest.fixture(scope="module")
@@ -79,22 +130,90 @@ class TestPipeline:
     def test_analyze_batch_matches_per_page_analyze(
         self, pipeline, tiny_world
     ):
-        pages = (
-            tiny_world.dataset("phishTest")[:12]
+        """``analyze``, batches of one and one whole batch agree, also
+        on degraded inputs: search down behind its breaker, garbled and
+        failing OCR, load-time degradation tags, and an expired
+        deadline (which only ``analyze`` takes)."""
+        pages = [
+            page.snapshot
+            for page in tiny_world.dataset("phishTest")[:12]
             + tiny_world.dataset("english")[:12]
-        )
-        snapshots = [page.snapshot for page in pages]
-        serial = [pipeline.analyze(snapshot) for snapshot in snapshots]
-        batch = pipeline.analyze_batch(snapshots)
-        assert [
-            (v.verdict, v.confidence, tuple(v.targets),
-             tuple(v.degradations), v.degraded)
-            for v in batch
-        ] == [
-            (v.verdict, v.confidence, tuple(v.targets),
-             tuple(v.degradations), v.degraded)
-            for v in serial
         ]
+        pages.append(LoadResult(
+            snapshot=tiny_world.dataset("phishTest")[12].snapshot,
+            attempts=2,
+            degradations=["partial_content"],
+        ))
+        search, ocr = tiny_world.search, SimulatedOcr(error_rate=0.02)
+        scenarios = {
+            "healthy": lambda: TargetIdentifier(search, ocr=ocr),
+            "search_down": lambda: TargetIdentifier(
+                _down_search(search), ocr=ocr
+            ),
+            "ocr_garbled": lambda: TargetIdentifier(
+                search, ocr=SimulatedOcr(error_rate=1.0)
+            ),
+            "ocr_failing": lambda: TargetIdentifier(
+                search, ocr=FlakyOcr(ocr, failure_rate=1.0)
+            ),
+        }
+        tags_seen = set()
+        for name, identifier in scenarios.items():
+            runs = []
+            for mode in ("analyze", "singles", "batch"):
+                analyzer = KnowYourPhish(pipeline.detector, identifier())
+                metrics = MetricsRegistry()
+                if mode == "analyze":
+                    verdicts = [
+                        analyzer.analyze(page, metrics=metrics)
+                        for page in pages
+                    ]
+                elif mode == "singles":
+                    verdicts = [
+                        analyzer.analyze_batch([page], metrics=metrics)[0]
+                        for page in pages
+                    ]
+                else:
+                    verdicts = analyzer.analyze_batch(pages, metrics=metrics)
+                runs.append(([_key(v) for v in verdicts], _counters(metrics)))
+                tags_seen.update(
+                    tag for v in verdicts for tag in v.degradations
+                )
+            assert runs[0] == runs[1] == runs[2], name
+        assert {"search_unavailable", "ocr_failed", "partial_content"} \
+            <= tags_seen
+
+        # An expired deadline leaves every flagged page with the
+        # detector-only verdict; unflagged pages are untouched.
+        full = pipeline.analyze_batch(pages)
+        metrics = MetricsRegistry()
+        expired = [
+            pipeline.analyze(page, metrics=metrics, deadline=_expired())
+            for page in pages
+        ]
+        flagged = 0
+        for page, got, want in zip(pages, expired, full):
+            if want.confidence < pipeline.detector.threshold:
+                assert _key(got) == _key(want)
+                continue
+            flagged += 1
+            load_tags = getattr(page, "degradations", [])
+            assert _key(got) == (
+                "phish", want.confidence, (),
+                (*load_tags, "deadline_exhausted"), True,
+            )
+            assert got.identification is None
+        assert flagged > 0
+        assert metrics.counter_total("verdicts_total") == len(pages)
+        assert metrics.counter_value("verdicts_total", verdict="phish") \
+            == flagged
+        assert metrics.counter_total("verdicts_degraded_total") == \
+            flagged + sum(
+                1 for page, v in zip(pages, full)
+                if isinstance(page, LoadResult)
+                and v.confidence < pipeline.detector.threshold
+            )
+        assert metrics.counter_total("fp_filtered_total") == 0
 
     def test_analyze_batch_metrics_match_per_page(
         self, pipeline, tiny_world
@@ -135,6 +254,24 @@ class TestPipeline:
         assert "partial_content" in batch.degradations
         assert batch.degraded
         assert batch.verdict == serial.verdict
+
+    def test_deeply_nested_page_gets_a_verdict(self, pipeline):
+        """1,200 nested ``<div>``s are analyzed, never a RecursionError."""
+        url = "http://deep-nesting.example.com/login"
+        web = SyntheticWeb()
+        web.host(
+            url,
+            "<title>Sign in</title>"
+            + "<div>verify your account " * 1200 + "</div>" * 1200,
+        )
+        snapshot = Browser(web).load(url)
+        single = pipeline.analyze(snapshot)
+        [batch] = pipeline.analyze_batch([snapshot])
+        report = pipeline.analyze_many([url], Browser(web))
+        assert report.quarantined == []
+        assert [page.url for page in report.analyzed] == [url]
+        assert _key(single) == _key(batch) == \
+            _key(report.analyzed[0].verdict)
 
     def test_page_verdict_helpers(self):
         verdict = PageVerdict(verdict="phish", confidence=0.95,

@@ -101,3 +101,22 @@ class TestTextExtraction:
         node = HtmlNode("div", {"id": "x"})
         assert node.tag == "div"
         assert node.get("id") == "x"
+
+
+class TestDeepNesting:
+    def test_deep_nesting_traverses_without_recursion(self):
+        depth = 5000  # far past Python's default recursion limit
+        root = parse_html("<div>a " * depth + "</div>" * depth)
+        assert sum(1 for _ in root.iter_nodes()) == depth + 1
+        assert len(root.find_all("div")) == depth
+        assert root.text() == " ".join(["a"] * depth)
+
+    def test_traversal_stays_pre_order(self):
+        root = parse_html(
+            "<div id='1'><p id='2'>x<b id='3'>y</b></p>z"
+            "<span id='4'>w</span></div>"
+            "<script id='5'>hidden</script><i id='6'>v</i>"
+        )
+        ids = [node.get("id") for node in root.iter_nodes() if node.get("id")]
+        assert ids == ["1", "2", "3", "4", "5", "6"]
+        assert root.text() == "x y z w v"

@@ -101,14 +101,6 @@ class TestAnalysisCache:
         hit[1] = 42.0               # and mutating the hit is safe too
         assert cache.get_features("k")[1] == 1.0
 
-    def test_pair_matrix_round_trip(self):
-        cache = AnalysisCache()
-        assert cache.get_pair_matrix(("hellinger", "k")) is None
-        cache.put_pair_matrix(("hellinger", "k"), np.full(66, 0.5))
-        assert np.array_equal(
-            cache.get_pair_matrix(("hellinger", "k")), np.full(66, 0.5)
-        )
-
     def test_stats_shape(self):
         cache = AnalysisCache()
         cache.put_features("k", np.zeros(212))
@@ -119,13 +111,11 @@ class TestAnalysisCache:
         assert stats["features_hits"] == 1
         assert stats["features_misses"] == 1
         assert stats["features_hit_rate"] == 0.5
-        for store in ("pair_matrices", "distributions"):
-            assert stats[f"{store}_hits"] == 0
+        assert stats["distributions_hits"] == 0
 
     def test_clear_empties_all_stores(self):
         cache = AnalysisCache()
         cache.put_features("k", np.zeros(212))
-        cache.put_pair_matrix("k", np.zeros(66))
         cache.distributions.put("k", "value")
         cache.clear()
         assert cache.stats()["features_entries"] == 0
@@ -155,7 +145,7 @@ class TestEvictionCounters:
         stats = cache.stats()
         assert stats["features_evictions"] == 3
         assert stats["features_entries"] == 2
-        assert stats["pair_matrices_evictions"] == 0
+        assert stats["distributions_evictions"] == 0
 
 
 class TestMergeCounts:

@@ -153,6 +153,9 @@ class _FakePipeline:
 
         return Verdict(degraded=bool(loaded.degradations))
 
+    def analyze_batch(self, loads):
+        return [self.analyze(loaded) for loaded in loads]
+
 
 class TestAnalyzeMany:
     def test_quarantines_instead_of_raising(self, web):
