@@ -47,6 +47,17 @@ def _url_identity(url: ParsedUrl) -> str:
 class DataSources:
     """Derived view of one page snapshot (distributions + partitions).
 
+    This base class is the plain, unpooled view: it parses with
+    :func:`~repro.urls.parsing.parse_url` and tokenises with
+    :func:`~repro.text.terms.extract_terms`, which keeps it an
+    independent reference for tests and standalone identification.
+    The pipeline instead builds one pooled subclass instance per page
+    (``repro.core.features.batch.page_views``) that extraction and
+    target identification share, so consumers reach URL parses and
+    term lists only through the instance (``sources.text_terms(...)``,
+    ``sources.free_url_terms(...)``, ``sources.rdn_terms(...)``),
+    never through the class.
+
     Parameters
     ----------
     snapshot:
@@ -161,6 +172,11 @@ class DataSources:
     # ------------------------------------------------------------------
     # term helpers
     # ------------------------------------------------------------------
+    @staticmethod
+    def text_terms(text: str) -> list[str]:
+        """Terms of a free-text source (body, title, copyright, OCR)."""
+        return extract_terms(text)
+
     @staticmethod
     def free_url_terms(url: ParsedUrl) -> list[str]:
         """Terms of a URL's FreeURL (subdomains, path, query)."""

@@ -40,20 +40,25 @@ per-page computation **to the last bit**.  Two properties make that hold:
 Batch cache protocol: with an :class:`~repro.parallel.cache.AnalysisCache`
 attached, fingerprints are computed once per snapshot, warm rows are
 served straight from the feature store (skipping columnarization
-entirely), and only the misses are columnarized — sharing the
-distribution store with target identification, then backfilling the
-feature store row by row.
+entirely), and only the misses are columnarized, then backfilled into
+the feature store row by row under ``(config_digest, fingerprint)``.
+
+Shared page view: the pipeline builds one :class:`_PooledSources` per
+analysed page with :func:`page_views` and passes the views in place of
+snapshots.  Extraction fills them; target identification then reads
+the same view — parsed links, term tuples, distributions — instead of
+re-parsing and re-tokenising the page.  Views and their pools live for
+one pipeline call.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-import numpy as np
-
 import re
-import unicodedata
 from urllib.parse import urlsplit
+
+import numpy as np
 
 from repro.core.datasources import F2_DISTRIBUTION_NAMES, DataSources
 from repro.core.features import mld_usage, rdn_usage, term_consistency
@@ -61,7 +66,7 @@ from repro.core.features.url_features import STAT_FEATURES
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.parallel.cache import snapshot_fingerprint
 from repro.text.distributions import TermDistribution, hellinger_pairs_many
-from repro.text.terms import MIN_TERM_LENGTH, _canonicalize_char
+from repro.text.terms import MIN_TERM_LENGTH, canonicalize
 from repro.urls.parsing import (
     _HOST_LABEL_RE,
     _SCHEME_RE,
@@ -82,31 +87,6 @@ _UNPARSED = object()
 #: probe for them returns the same ``False`` without paying for the
 #: raised-and-caught ``ValueError``.
 _IP_CANDIDATE_RE = re.compile(r"^[0-9.]+$|[:\[]")
-
-
-class _CanonTable(dict):
-    """Lazily-built ``str.translate`` table for term canonicalization.
-
-    Maps each codepoint to exactly what
-    :func:`repro.text.terms.canonicalize` emits for that character —
-    its canonical a-z form, ``""`` for combining marks, ``" "``
-    otherwise.  ``canonicalize`` is a per-character map, so translating
-    with this table yields the identical string at C speed; the table
-    content is a pure function of the codepoint, so lazy population
-    order cannot change results.
-    """
-
-    def __missing__(self, code: int) -> str:
-        char = chr(code)
-        mapped = _canonicalize_char(char)
-        if mapped:
-            result = mapped
-        elif unicodedata.combining(char):
-            result = ""
-        else:
-            result = " "
-        self[code] = result
-        return result
 
 
 class _MemoPsl(PublicSuffixList):
@@ -152,7 +132,6 @@ class _BatchPools:
         self._canonical_mld: dict[str, str] = {}
         self._stats: dict[str, tuple[float, ...]] = {}
         self._dists: dict[tuple[str, ...], TermDistribution] = {}
-        self._canon = _CanonTable()
 
     # -- URLs ----------------------------------------------------------
     def _host_info(self, host: str):
@@ -253,13 +232,12 @@ class _BatchPools:
     def terms(self, text: str) -> tuple[str, ...]:
         """Pooled ``extract_terms`` (immutable, safe to share).
 
-        Canonicalizes through the :class:`_CanonTable` translate table —
-        the identical string ``canonicalize`` builds char by char, at C
-        speed — then applies the same split / minimum-length filter.
+        The same ``canonicalize`` / split / minimum-length filter as
+        :func:`repro.text.terms.extract_terms`, returned as a tuple.
         """
         hit = self._terms.get(text)
         if hit is None:
-            canonical = text.translate(self._canon)
+            canonical = canonicalize(text)
             hit = tuple(
                 [
                     term
@@ -291,7 +269,7 @@ class _BatchPools:
             return ""
         hit = self._canonical_mld.get(mld)
         if hit is None:
-            hit = mld.translate(self._canon).replace(" ", "")
+            hit = canonicalize(mld).replace(" ", "")
             self._canonical_mld[mld] = hit
         return hit
 
@@ -330,7 +308,10 @@ class _PooledSources(DataSources):
     Overrides only the seams where the base class calls
     ``parse_url``/``extract_terms`` directly; every derived quantity
     (partitions, distributions, degradation notes) keeps the base-class
-    logic, so downstream consumers see identical values.
+    logic, so downstream consumers see identical values.  The pipeline
+    builds one such view per analysed page (see :func:`page_views`) and
+    hands it to both extraction and target identification, so a page is
+    parsed and tokenised once.
     """
 
     def __init__(self, snapshot: PageSnapshot, pools: _BatchPools, **kwargs):
@@ -353,9 +334,13 @@ class _PooledSources(DataSources):
     def landing(self) -> ParsedUrl:
         return self._pools.parse(self.snapshot.landing_url)
 
-    # Instance-level overrides shadow the base staticmethods for `self.`
-    # calls; external `DataSources.free_url_terms(...)` class calls keep
-    # the unpooled base behaviour (same values either way).
+    # Instance methods shadowing the base staticmethods: every consumer
+    # calls the term helpers through the view (`sources.text_terms(...)`),
+    # so the pooled view serves them from the batch pools.  Tuples
+    # instead of lists, same terms in the same order.
+    def text_terms(self, text: str):  # type: ignore[override]
+        return self._pools.terms(text)
+
     def free_url_terms(self, url: ParsedUrl):  # type: ignore[override]
         return self._pools.terms(url.free_url)
 
@@ -408,6 +393,37 @@ class _PooledSources(DataSources):
         return self._rdn_distribution((self.landing,))
 
 
+def page_views(
+    extractor, pages, keys: list[str | None]
+) -> list[_PooledSources]:
+    """One pooled view per page, sharing one fresh :class:`_BatchPools`.
+
+    ``pages`` holds snapshots or views; views pass through unchanged,
+    snapshots get a new view over ``extractor``'s PSL and Alexa ranking,
+    wired to the extractor's distribution store under the page's
+    fingerprint in ``keys`` (which must be set when a cache is
+    attached).  Views are lazy: building one parses nothing until a
+    consumer asks for a URL, a term list or a distribution.
+    """
+    cache = extractor.cache
+    pools: _BatchPools | None = None
+    views: list[_PooledSources] = []
+    for page, key in zip(pages, keys):
+        if not isinstance(page, _PooledSources):
+            if pools is None:
+                pools = _BatchPools(extractor.psl, extractor.alexa)
+            page = _PooledSources(
+                page,
+                pools,
+                distribution_cache=(
+                    cache.distributions if cache is not None else None
+                ),
+                cache_key=key,
+            )
+        views.append(page)
+    return views
+
+
 #: Column offsets of the five feature groups in the 212-wide layout.
 _F1_END = 106
 _F2_END = _F1_END + 66
@@ -443,56 +459,59 @@ class BatchExtractor:
     ) -> np.ndarray:
         """Feature matrix for a snapshot batch, one columnar pass per group.
 
+        Each entry of ``snapshots`` is a :class:`PageSnapshot` or a
+        pooled view from :func:`page_views`; a view is used as is for a
+        cache miss, so whatever it parses and tokenises stays available
+        to its owner (the pipeline's target identification) afterwards.
         ``keys`` optionally carries precomputed snapshot fingerprints
         (one per snapshot, ``None`` entries recomputed on demand) so
         callers that already fingerprinted — the pipeline's verdict
-        memo, the serving engine — don't pay the hash twice.  Emits one
-        ``extract`` span carrying batch size and cache-hit count, with
-        one ``extract.f1`` .. ``extract.f5`` child per feature group
-        when any row misses the cache.
+        memo, the serving engine — don't pay the hash twice.  Feature
+        rows are cached under ``(config_digest, fingerprint)``, so
+        differently-configured extractors never see each other's rows.
+        Emits one ``extract`` span carrying batch size and cache-hit
+        count, with one ``extract.f1`` .. ``extract.f5`` child per
+        feature group when any row misses the cache.
         """
-        snapshots = list(snapshots)
+        pages = list(snapshots)
         extractor = self.extractor
-        out = np.zeros((len(snapshots), _N_FEATURES), dtype=np.float64)
-        if not snapshots:
+        out = np.zeros((len(pages), _N_FEATURES), dtype=np.float64)
+        if not pages:
             return out
         cache = extractor.cache
-        with tracer.span("extract", n_pages=len(snapshots)) as span:
+        digest = extractor.config_digest
+        with tracer.span("extract", n_pages=len(pages)) as span:
             if keys is None or cache is None:
-                keys = [None] * len(snapshots)
+                keys = [None] * len(pages)
             misses: list[int] = []
-            for index, snapshot in enumerate(snapshots):
+            for index, page in enumerate(pages):
                 row = None
                 if cache is not None:
                     if keys[index] is None:
-                        keys[index] = snapshot_fingerprint(snapshot)
-                    row = cache.get_features(keys[index])
+                        keys[index] = snapshot_fingerprint(
+                            page.snapshot
+                            if isinstance(page, _PooledSources) else page
+                        )
+                    row = cache.get_features((digest, keys[index]))
                 if row is None:
                     misses.append(index)
                 else:
                     out[index] = row
-            span.set(cache_hits=len(snapshots) - len(misses))
+            span.set(cache_hits=len(pages) - len(misses))
             if not misses:
                 return out
-            pools = _BatchPools(extractor.psl, extractor.alexa)
-            sources = [
-                _PooledSources(
-                    snapshots[index],
-                    pools,
-                    distribution_cache=(
-                        cache.distributions if cache is not None else None
-                    ),
-                    cache_key=keys[index],
-                )
-                for index in misses
-            ]
+            sources = page_views(
+                extractor,
+                [pages[index] for index in misses],
+                [keys[index] for index in misses],
+            )
             block = np.zeros((len(misses), _N_FEATURES), dtype=np.float64)
             with tracer.span("extract.f1"):
-                self._f1_block(sources, pools, block[:, :_F1_END])
+                self._f1_block(sources, block[:, :_F1_END])
             with tracer.span("extract.f2"):
                 self._f2_block(sources, block[:, _F1_END:_F2_END])
             with tracer.span("extract.f3"):
-                self._f3_block(sources, pools, block[:, _F2_END:_F3_END])
+                self._f3_block(sources, block[:, _F2_END:_F3_END])
             with tracer.span("extract.f4"):
                 for row, src in enumerate(sources):
                     block[row, _F3_END:_F4_END] = rdn_usage.compute(src)
@@ -500,8 +519,8 @@ class BatchExtractor:
                 for row, src in enumerate(sources):
                     elements = src.snapshot.elements
                     block[row, _F4_END:] = (
-                        float(len(pools.terms(src.snapshot.text))),
-                        float(len(pools.terms(src.snapshot.title))),
+                        float(len(src.text_terms(src.snapshot.text))),
+                        float(len(src.text_terms(src.snapshot.title))),
                         float(elements.input_count),
                         float(elements.image_count),
                         float(elements.iframe_count),
@@ -509,13 +528,12 @@ class BatchExtractor:
             for row, index in enumerate(misses):
                 out[index] = block[row]
                 if cache is not None:
-                    cache.put_features(keys[index], block[row])
+                    cache.put_features((digest, keys[index]), block[row])
         return out
 
     # ------------------------------------------------------------------
     def _f1_block(
-        self, sources: list[_PooledSources], pools: _BatchPools,
-        block: np.ndarray,
+        self, sources: list[_PooledSources], block: np.ndarray
     ) -> None:
         """f1, columnar: singles per page, link-set stats by length class.
 
@@ -528,8 +546,8 @@ class BatchExtractor:
         # length -> [(row, set index, urls)]
         by_length: dict[int, list[tuple[int, int, list[ParsedUrl]]]] = {}
         for row, src in enumerate(sources):
-            block[row, 0:9] = pools.full_vector(src.starting)
-            block[row, 9:18] = pools.full_vector(src.landing)
+            block[row, 0:9] = src._pools.full_vector(src.starting)
+            block[row, 9:18] = src._pools.full_vector(src.landing)
             link_sets = (
                 src.internal_logged, src.external_logged,
                 src.internal_href, src.external_href,
@@ -543,7 +561,8 @@ class BatchExtractor:
             stacked = np.empty(
                 (len(entries), length, len(STAT_FEATURES)), dtype=np.float64
             )
-            for entry, (_row, _set_index, urls) in enumerate(entries):
+            for entry, (row, _set_index, urls) in enumerate(entries):
+                pools = sources[row]._pools
                 for position, url in enumerate(urls):
                     stacked[entry, position] = pools.stat_vector(url)
             # (sets, links, stats) -> contiguous (sets, stats, links):
@@ -591,12 +610,12 @@ class BatchExtractor:
         ]
 
     def _f3_block(
-        self, sources: list[_PooledSources], pools: _BatchPools,
-        block: np.ndarray,
+        self, sources: list[_PooledSources], block: np.ndarray
     ) -> None:
         """f3 with pooled canonical mlds; distributions are already hot
         on each instance from the f2 pass."""
         for row, src in enumerate(sources):
+            pools = src._pools
             start_mld = pools.canonical_mld(src.starting.mld)
             land_mld = pools.canonical_mld(src.landing.mld)
             col = 0

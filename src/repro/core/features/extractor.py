@@ -8,6 +8,8 @@ and 5): each individual set, ``f1,5``, ``f2,3,4`` and ``fall``.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from repro.core.datasources import DataSources
@@ -110,6 +112,22 @@ def feature_set_mask(name: str) -> np.ndarray:
     return mask
 
 
+def _config_digest(
+    term_metric: str,
+    alexa: AlexaRanking,
+    psl: PublicSuffixList,
+    names: list[str],
+) -> str:
+    """SHA-256 naming one extractor configuration (feature-cache key)."""
+    parts = (
+        term_metric,
+        alexa.content_digest(),
+        psl.content_digest(),
+        hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest(),
+    )
+    return hashlib.sha256("\0".join(parts).encode("utf-8")).hexdigest()
+
+
 class FeatureExtractor:
     """Extracts the 212 features of Table III from page snapshots.
 
@@ -124,9 +142,9 @@ class FeatureExtractor:
     cache:
         Optional :class:`~repro.parallel.cache.AnalysisCache` memoizing
         term distributions and full feature vectors by snapshot content
-        hash.  Feature vectors depend on the extractor's configuration
-        (Alexa ranking, term metric), so a cache must not be shared
-        between differently-configured extractors.  Hits return copies
+        hash.  Feature vectors are keyed on ``(config_digest,
+        fingerprint)``, so differently-configured extractors can share
+        one cache without seeing each other's rows.  Hits return copies
         of values computed by the exact same code path as misses —
         caching never changes results.
 
@@ -157,6 +175,13 @@ class FeatureExtractor:
         self._names = [
             name for _group, module in _GROUPS for name in module.feature_names()
         ]
+        #: Content hash of everything a feature row depends on besides
+        #: the page: term metric, Alexa ranking, PSL rules and the
+        #: feature layout.  Computed once, so an Alexa ranking mutated
+        #: after construction is not reflected.
+        self.config_digest = _config_digest(
+            term_metric, self.alexa, self.psl, self._names
+        )
 
     @property
     def n_features(self) -> int:

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.datasources import DataSources
 from repro.core.detector import PhishingDetector
+from repro.core.features.batch import page_views
 from repro.core.features.extractor import group_means
 from repro.core.target import TargetIdentification, TargetIdentifier
 from repro.obs.metrics import NULL_METRICS, AnyMetrics
@@ -244,11 +245,15 @@ class KnowYourPhish:
     ) -> list[PageVerdict]:
         """The pipeline's one analysis path: loaded pages to verdicts.
 
-        Features come from one
+        Each page gets one pooled view of its data sources (one batch
+        pool per call, shared by every page of the call); features come
+        from one
         :meth:`~repro.core.features.extractor.FeatureExtractor.extract_batch`
-        pass and scores from one ``predict_proba`` call; then each page
-        gets its verdict in input order, flagged pages through target
-        identification under their own deadline — so stateful
+        pass over those views and scores from one ``predict_proba``
+        call; then each page gets its verdict in input order, flagged
+        pages through target identification on the same view (no
+        re-parse, no re-tokenisation) under their own deadline — so
+        stateful
         collaborators (search engine, circuit breakers, OCR, caches)
         see one call sequence however the pages are grouped.  Traced as
         one ``analyze`` span (``n_pages=``, ``flagged=``) holding the
@@ -263,21 +268,23 @@ class KnowYourPhish:
             page.snapshot if isinstance(page, LoadResult) else page
             for page in pages
         ]
+        extractor = self.detector.extractor
         keys: list[str | None] = (
             [snapshot_fingerprint(snapshot) for snapshot in snapshots]
-            if self.detector.extractor.cache is not None
+            if extractor.cache is not None
             else [None] * len(snapshots)
         )
+        # The views live until this call's verdicts are built; nothing
+        # is kept on the pipeline, so concurrent calls share no state.
+        views = page_views(extractor, snapshots, keys)
         with tracer.span("analyze", n_pages=len(pages)) as root:
-            matrix = self.detector.extractor.extract_batch(
-                snapshots, tracer=tracer, keys=keys
-            )
+            matrix = extractor.extract_batch(views, tracer=tracer, keys=keys)
             with tracer.span("classify", n_pages=len(pages)):
                 confidences = self.detector.predict_proba(matrix)
             verdicts: list[PageVerdict] = []
             for index, page in enumerate(pages):
                 verdict = self._verdict(
-                    page, keys[index], float(confidences[index]),
+                    page, views[index], float(confidences[index]),
                     deadlines[index], tracer, metrics,
                 )
                 if quality is not None:
@@ -294,19 +301,15 @@ class KnowYourPhish:
     def _verdict(
         self,
         page: PageSnapshot | LoadResult,
-        key: str | None,
+        view: DataSources,
         confidence: float,
         deadline: Deadline | None,
         tracer: AnyTracer,
         metrics: AnyMetrics,
     ) -> PageVerdict:
         """One page's verdict from its classifier confidence."""
-        if isinstance(page, LoadResult):
-            tags = list(page.degradations)
-            snapshot = page.snapshot
-        else:
-            tags = []
-            snapshot = page
+        tags = list(page.degradations) if isinstance(page, LoadResult) \
+            else []
         final = "legitimate" if confidence < self.detector.threshold \
             else "phish"
         identification: TargetIdentification | None = None
@@ -315,7 +318,7 @@ class KnowYourPhish:
                 tags.append("deadline_exhausted")
             else:
                 final, identification = self._identify(
-                    snapshot, key, deadline, tracer, metrics, tags
+                    view, deadline, tracer, metrics, tags
                 )
         metrics.inc("verdicts_total", verdict=final)
         if tags:
@@ -334,35 +337,25 @@ class KnowYourPhish:
 
     def _identify(
         self,
-        snapshot: PageSnapshot,
-        key: str | None,
+        sources: DataSources,
         deadline: Deadline | None,
         tracer: AnyTracer,
         metrics: AnyMetrics,
         tags: list[str],
     ) -> tuple[str, TargetIdentification | None]:
-        """Target identification of one flagged page.
+        """Target identification of one flagged page on its shared view.
 
         Returns the final label and the identification (``None`` when
         it failed); failure and OCR degradation tags are appended to
         ``tags``.
         """
-        cache = self.detector.extractor.cache
-        sources = DataSources(
-            snapshot,
-            psl=self.detector.extractor.psl,
-            ocr=self.identifier.ocr,
-            distribution_cache=(
-                cache.distributions if cache is not None else None
-            ),
-            cache_key=key,
-        )
+        sources.ocr = self.identifier.ocr
         final = "phish"
         identification: TargetIdentification | None = None
         try:
             with tracer.span("target.identify") as target_span:
                 identification = self.identifier.identify(
-                    sources, deadline=deadline
+                    sources, deadline=deadline, tracer=tracer
                 )
                 target_span.set(
                     step=identification.step,

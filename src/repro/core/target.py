@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.datasources import DataSources
 from repro.core.keyterms import KeytermExtractor, Keyterms
+from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.text.terms import canonicalize
 from repro.urls.public_suffix import PublicSuffixList, default_psl
 from repro.web.ocr import SimulatedOcr
@@ -50,10 +51,14 @@ def mld_composable_from(mld: str, keyterms) -> bool:
     ``bankofamerica`` from ``bank``, ``of``, ``america``).  At least one
     keyterm must participate.
     """
-    term_list = [term for term in keyterms if term]
-    if not mld or not term_list:
+    if not mld:
         return False
     target = mld.lower()
+    # A term that is not a substring of the mld can never start a match,
+    # so dropping it up front leaves the result unchanged.
+    term_list = [term for term in keyterms if term and term in target]
+    if not term_list:
+        return False
     n = len(target)
     reachable = [False] * (n + 1)
     reachable[0] = True
@@ -130,8 +135,13 @@ class TargetIdentifier:
         self,
         page: PageSnapshot | DataSources,
         deadline=None,
+        tracer: AnyTracer = NULL_TRACER,
     ) -> TargetIdentification:
         """Run the full five-step identification on one page.
+
+        ``page`` is a snapshot or an already-built view of one; the
+        pipeline passes the pooled view its feature extraction filled,
+        so identification re-parses and re-tokenises nothing.
 
         ``deadline`` (a :class:`~repro.resilience.retry.Deadline`) is
         checked before every search query — the expensive, external
@@ -140,12 +150,18 @@ class TargetIdentifier:
         budget is gone, so a request never searches past its budget.
         The caller (the pipeline) turns that into a degraded,
         detector-only verdict.
+
+        ``tracer`` receives one ``target.keyterms`` span, one
+        ``target.search`` span per query (``step=``) and, when the
+        process reaches step 5, one ``target.select`` span; the result
+        is the same with or without it.
         """
         sources = (
             page if isinstance(page, DataSources)
             else DataSources(page, psl=self.psl, ocr=self.ocr)
         )
-        keyterms = self.keyterm_extractor.extract(sources)
+        with tracer.span("target.keyterms"):
+            keyterms = self.keyterm_extractor.extract(sources)
         suspected_rdns = {
             rdn for rdn in (sources.starting.rdn, sources.landing.rdn) if rdn
         }
@@ -159,9 +175,11 @@ class TargetIdentifier:
         for guess in guesses:
             if deadline is not None:
                 deadline.check("target identification (step 1 search)")
-            returned = self.search.result_rdns(
-                [guess, *keyterms.boosted_prominent], top_k=self.search_depth
-            )
+            with tracer.span("target.search", step=1):
+                returned = self.search.result_rdns(
+                    [guess, *keyterms.boosted_prominent],
+                    top_k=self.search_depth,
+                )
             if suspected_rdns & returned:
                 return TargetIdentification(
                     verdict="legitimate", step=1, keyterms=keyterms
@@ -182,7 +200,8 @@ class TargetIdentifier:
                 continue
             if deadline is not None:
                 deadline.check(f"target identification (step {step} search)")
-            results = self.search.query(terms, top_k=self.search_depth)
+            with tracer.span("target.search", step=step):
+                results = self.search.query(terms, top_k=self.search_depth)
             result_rdns = {result.rdn for result in results}
             if suspected_rdns & result_rdns:
                 return TargetIdentification(
@@ -203,13 +222,17 @@ class TargetIdentifier:
                 break
 
         # ---- step 5: target selection -----------------------------------
-        if not candidates:
-            return TargetIdentification(
-                verdict="suspicious", step=5, keyterms=keyterms
+        with tracer.span("target.select", candidates=len(candidates)):
+            if not candidates:
+                return TargetIdentification(
+                    verdict="suspicious", step=5, keyterms=keyterms
+                )
+            haystacks = self._haystacks(sources)
+            for mld in candidates:
+                candidates[mld] = self._count_appearances(mld, haystacks)
+            ranked = sorted(
+                candidates.items(), key=lambda kv: (-kv[1], kv[0])
             )
-        for mld in candidates:
-            candidates[mld] = self._count_appearances(mld, sources)
-        ranked = sorted(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
         targets = [mld for mld, _count in ranked[: self.top_k]]
         return TargetIdentification(
             verdict="phish", targets=targets, step=5, keyterms=keyterms
@@ -245,18 +268,30 @@ class TargetIdentifier:
                 return True
         return False
 
-    def _count_appearances(self, mld: str, sources: DataSources) -> int:
+    @staticmethod
+    def _haystacks(sources: DataSources) -> list[str]:
+        """The page's data sources, canonicalised once for step 5.
+
+        Spaces are dropped so an mld split across words (``Bank of
+        America``) still counts; each source stays its own haystack so
+        no match spans two of them.
+        """
+        snapshot = sources.snapshot
+        texts = [
+            snapshot.text,
+            snapshot.title,
+            snapshot.copyright_notice,
+            sources.starting.raw,
+            sources.landing.raw,
+        ]
+        texts.extend(url.raw for url in sources.href_links)
+        texts.extend(url.raw for url in sources.logged_links)
+        return [canonicalize(text).replace(" ", "") for text in texts]
+
+    @staticmethod
+    def _count_appearances(mld: str, haystacks: list[str]) -> int:
         """Occurrences of ``mld`` across the page's data sources (step 5)."""
         canonical = canonicalize(mld).replace(" ", "")
         if not canonical:
             return 0
-        haystacks = [
-            canonicalize(sources.snapshot.text).replace(" ", ""),
-            canonicalize(sources.snapshot.title).replace(" ", ""),
-            canonicalize(sources.snapshot.copyright_notice).replace(" ", ""),
-            canonicalize(sources.starting.raw).replace(" ", ""),
-            canonicalize(sources.landing.raw).replace(" ", ""),
-        ]
-        for url in sources.href_links + sources.logged_links:
-            haystacks.append(canonicalize(url.raw).replace(" ", ""))
         return sum(haystack.count(canonical) for haystack in haystacks)

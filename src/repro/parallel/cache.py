@@ -26,6 +26,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 
 import numpy as np
 
@@ -141,18 +142,17 @@ class LruCache:
 class AnalysisCache:
     """Memoization bundle for per-snapshot analysis artefacts.
 
-    Two independent LRU stores, both keyed by snapshot fingerprint:
+    Two independent LRU stores:
 
     * ``features`` — full 212-dimension feature vectors, filled and
-      read by the batch extractor;
-    * ``distributions`` — individual Table I term distributions,
-      shared between extraction and target identification of the
-      same content.
+      read by the batch extractor under ``(config_digest,
+      fingerprint)`` keys, so extractors with different Alexa
+      rankings, PSLs or term metrics never read each other's rows;
+    * ``distributions`` — individual Table I term distributions keyed
+      by ``(fingerprint, name)``, shared between extraction and target
+      identification of the same content.
 
-    One cache belongs to one extractor configuration: feature vectors
-    depend on the Alexa ranking and term metric, so sharing a cache
-    between differently-configured extractors yields wrong hits.  The
-    ``image`` distribution is never cached (it depends on the OCR
+    The ``image`` distribution is never cached (it depends on the OCR
     engine, not only on content).
 
     Parameters
@@ -168,12 +168,12 @@ class AnalysisCache:
         self.distributions = LruCache(16 * max_entries)
 
     # ------------------------------------------------------------------
-    def get_features(self, key: str) -> np.ndarray | None:
+    def get_features(self, key: Hashable) -> np.ndarray | None:
         """Cached feature vector (a defensive copy) or ``None``."""
         hit = self.features.get(key)
         return None if hit is None else hit.copy()
 
-    def put_features(self, key: str, vector: np.ndarray) -> None:
+    def put_features(self, key: Hashable, vector: np.ndarray) -> None:
         """Store a feature vector (copied, so later mutation is safe)."""
         self.features.put(key, np.array(vector, dtype=np.float64, copy=True))
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from functools import lru_cache
 
 MIN_TERM_LENGTH = 3
 
@@ -35,7 +34,6 @@ _HOMOGLYPHS = {
 }
 
 
-@lru_cache(maxsize=65536)
 def _canonicalize_char(char: str) -> str:
     """Map a single character to its canonical a-z form, or '' if none."""
     lowered = char.lower()
@@ -50,23 +48,49 @@ def _canonicalize_char(char: str) -> str:
     return ""
 
 
+#: Codepoints the translate table keeps; rarer ones are recomputed per
+#: call, so adversarial text cannot grow the table without bound.
+_CANON_TABLE_LIMIT = 65536
+
+
+class _CanonTable(dict):
+    """Lazily-built ``str.translate`` table for :func:`canonicalize`.
+
+    Maps each codepoint to what canonicalisation emits for that
+    character: its canonical a-z form, ``""`` for combining marks
+    (decomposed accents are elided rather than splitting the word they
+    decorate), ``" "`` otherwise.  Canonicalisation is a per-character
+    map, so translating with this table is the whole algorithm; each
+    entry is a pure function of its codepoint, so neither the order in
+    which entries fill in nor concurrent filling from several threads
+    can change a result.
+    """
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        mapped = _canonicalize_char(char)
+        if mapped:
+            result = mapped
+        elif unicodedata.combining(char):
+            result = ""
+        else:
+            result = " "
+        if len(self) < _CANON_TABLE_LIMIT:
+            self[code] = result
+        return result
+
+
+_CANON_TABLE = _CanonTable()
+
+
 def canonicalize(text: str) -> str:
-    """Canonicalise ``text``: a-z letters kept, variants mapped, the rest
-    replaced by a single space (acting as a split point).
+    """Canonicalise ``text``: a-z letters kept, variants mapped, every
+    other character replaced by a space (acting as a split point).
 
     Combining marks (decomposed accents) are elided entirely rather than
     splitting the word they decorate: ``be´ta`` stays one term.
     """
-    out: list[str] = []
-    for char in text:
-        mapped = _canonicalize_char(char)
-        if mapped:
-            out.append(mapped)
-        elif unicodedata.combining(char):
-            continue
-        else:
-            out.append(" ")
-    return "".join(out)
+    return text.translate(_CANON_TABLE)
 
 
 def extract_terms(text: str, min_length: int = MIN_TERM_LENGTH) -> list[str]:

@@ -11,6 +11,7 @@ popularity model.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable, Mapping
 
 DEFAULT_UNRANKED = 1_000_001
@@ -64,6 +65,17 @@ class AlexaRanking:
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         self._ranks[rdn.lower()] = rank
+
+    def content_digest(self) -> str:
+        """SHA-256 over the default rank and every ``(rdn, rank)`` entry.
+
+        Independent of insertion order: two rankings that answer every
+        :meth:`rank` query alike share a digest.
+        """
+        lines = [str(self.default)] + [
+            f"{rdn}\t{rank}" for rdn, rank in sorted(self._ranks.items())
+        ]
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def top(self, count: int) -> list[str]:
         """Return the ``count`` best-ranked domains, best first."""

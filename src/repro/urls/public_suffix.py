@@ -17,6 +17,7 @@ treated as the public suffix), as mandated by the specification.
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 
 from repro.urls.suffix_data import iter_snapshot_rules
@@ -82,6 +83,14 @@ class PublicSuffixList:
 
     def __len__(self) -> int:
         return len(self._rules)
+
+    def content_digest(self) -> str:
+        """SHA-256 over the rules, in the order they were given."""
+        lines = [
+            ("!" if rule.is_exception else "") + ".".join(rule.labels)
+            for rule in self._rules
+        ]
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def _prevailing_rule(self, domain_labels: tuple[str, ...]) -> _Rule | None:
         candidates = self._by_tld.get(domain_labels[-1], ())

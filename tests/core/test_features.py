@@ -21,7 +21,9 @@ from repro.core.features import (
     term_consistency,
     url_features,
 )
+from repro.parallel import AnalysisCache
 from repro.urls.alexa import AlexaRanking
+from repro.urls.public_suffix import PublicSuffixList
 from repro.web.page import PageSnapshot
 from tests.core import oracle_features as oracle
 
@@ -292,6 +294,44 @@ class TestExtractor:
                 extractor.extract(snapshot),
                 oracle.extract(snapshot, alexa, metric=metric),
             ), make.__name__
+
+
+class TestSharedCacheKeying:
+    """Feature rows are cached per extractor configuration."""
+
+    def test_jaccard_extractor_gets_its_own_rows(self, alexa):
+        cache = AnalysisCache()
+        hellinger = FeatureExtractor(alexa=alexa, cache=cache)
+        jaccard = FeatureExtractor(
+            alexa=alexa, term_metric="jaccard", cache=cache
+        )
+        snapshots = [make() for make in SNAPSHOTS]
+        hellinger_rows = hellinger.extract_many(snapshots)
+        shared_rows = jaccard.extract_many(snapshots)
+        true_rows = FeatureExtractor(
+            alexa=alexa, term_metric="jaccard"
+        ).extract_many(snapshots)
+        assert np.array_equal(shared_rows, true_rows)
+        assert not np.array_equal(shared_rows, hellinger_rows)
+        # Both configurations now hit their own rows.
+        assert np.array_equal(hellinger.extract_many(snapshots), hellinger_rows)
+        assert np.array_equal(jaccard.extract_many(snapshots), true_rows)
+
+    def test_digest_names_the_configuration(self, alexa):
+        base = FeatureExtractor(alexa=alexa).config_digest
+        assert FeatureExtractor(alexa=alexa).config_digest == base
+        assert FeatureExtractor(
+            alexa=AlexaRanking(["cdn.net", "acmebank.com"])
+        ).config_digest != base
+        assert FeatureExtractor(
+            alexa=AlexaRanking({"cdn.net": 2, "acmebank.com": 1})
+        ).config_digest == base
+        assert FeatureExtractor(
+            alexa=alexa, term_metric="jaccard"
+        ).config_digest != base
+        assert FeatureExtractor(
+            alexa=alexa, psl=PublicSuffixList(["com", "net"])
+        ).config_digest != base
 
 
 class TestFeatureSetMasks:

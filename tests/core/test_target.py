@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.target import TargetIdentifier, mld_composable_from
+from repro.obs import Tracer
+from repro.resilience import ManualClock
 from repro.web.ocr import SimulatedOcr
 
 
@@ -98,3 +100,27 @@ class TestIdentification:
                 assert result.top_target == result.targets[0]
             else:
                 assert result.top_target is None
+
+    def test_substep_spans_leave_results_unchanged(self, identifier, tiny_world):
+        """A traced identification returns what an untraced one does and
+        records one ``target.keyterms`` span, a ``target.search`` span
+        per query and a ``target.select`` span once step 5 is reached."""
+        pages = list(tiny_world.dataset("phishBrand")[:6]) + \
+            list(tiny_world.dataset("english")[:4])
+        steps_seen = set()
+        for page in pages:
+            tracer = Tracer(clock=ManualClock())
+            traced = identifier.identify(page.snapshot, tracer=tracer)
+            plain = identifier.identify(page.snapshot)
+            assert traced == plain
+            names = [span.name for span in tracer.iter_spans()]
+            assert names[0] == "target.keyterms"
+            searches = [
+                span.attrs["step"] for span in tracer.iter_spans()
+                if span.name == "target.search"
+            ]
+            assert searches == sorted(searches)
+            assert set(searches) <= {1, 2, 3, 4}
+            assert (names[-1] == "target.select") == (plain.step == 5)
+            steps_seen.add(plain.step)
+        assert 5 in steps_seen and steps_seen - {5}

@@ -110,13 +110,29 @@ class TestSpanDeterminism:
             tiny_world.web, policy=RetryPolicy(clock=clock), clock=clock
         )
         baseline = plain.analyze_many(_workload(tiny_world), bare_browser)
-        observed_report, _, _ = _observed_run(tiny_world)
-        assert [
-            (page.url, page.verdict.verdict, page.verdict.confidence,
-             tuple(page.verdict.targets))
-            for page in baseline.analyzed
-        ] == [
-            (page.url, page.verdict.verdict, page.verdict.confidence,
-             tuple(page.verdict.targets))
-            for page in observed_report.analyzed
-        ]
+        observed_report, tracer, _ = _observed_run(tiny_world)
+        assert [_verdict_key(page) for page in baseline.analyzed] == \
+            [_verdict_key(page) for page in observed_report.analyzed]
+        # The traced run did reach the target-identification substeps.
+        names = {span.name for span in tracer.iter_spans()}
+        assert {"target.identify", "target.keyterms", "target.search"} \
+            <= names
+        for span in tracer.iter_spans():
+            if span.name == "target.search":
+                assert span.attrs["step"] in (1, 2, 3, 4)
+
+
+def _verdict_key(page) -> tuple:
+    """Everything a verdict says, down to its identification."""
+    verdict = page.verdict
+    found = verdict.identification
+    detail = None if found is None else (
+        found.verdict, found.step, tuple(found.targets),
+        tuple(found.keyterms.boosted_prominent),
+        tuple(found.keyterms.prominent),
+        tuple(found.keyterms.ocr_prominent),
+    )
+    return (
+        page.url, verdict.verdict, verdict.confidence,
+        tuple(verdict.targets), tuple(verdict.degradations), detail,
+    )
