@@ -18,6 +18,7 @@ yield several null features.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from functools import cached_property
 
 from repro.resilience.errors import OcrFailure
@@ -76,9 +77,9 @@ class DataSources:
         work within one instance; this cache deduplicates across
         repeated analyses of the same content.  Requires ``cache_key``.
     cache_key:
-        Stable content key of ``snapshot`` (a
-        :func:`~repro.parallel.cache.snapshot_fingerprint`), namespacing
-        the shared cache.
+        Hashable key naming ``snapshot``'s content and everything its
+        distributions depend on, namespacing the shared cache (the
+        batch extractor passes ``(config_digest, fingerprint)``).
     """
 
     def __init__(
@@ -87,7 +88,7 @@ class DataSources:
         psl: PublicSuffixList | None = None,
         ocr: SimulatedOcr | None = None,
         distribution_cache=None,
-        cache_key: str | None = None,
+        cache_key: Hashable | None = None,
     ):
         self.snapshot = snapshot
         self.psl = psl or default_psl()

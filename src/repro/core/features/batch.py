@@ -400,10 +400,12 @@ def page_views(
 
     ``pages`` holds snapshots or views; views pass through unchanged,
     snapshots get a new view over ``extractor``'s PSL and Alexa ranking,
-    wired to the extractor's distribution store under the page's
-    fingerprint in ``keys`` (which must be set when a cache is
-    attached).  Views are lazy: building one parses nothing until a
-    consumer asks for a URL, a term list or a distribution.
+    wired to the extractor's distribution store under
+    ``(config_digest, fingerprint)``, the fingerprint taken from
+    ``keys`` (which must be set when a cache is attached).  The digest
+    covers the PSL, on which RDN distributions depend.  Views are
+    lazy: building one parses nothing until a consumer asks for a URL,
+    a term list or a distribution.
     """
     cache = extractor.cache
     pools: _BatchPools | None = None
@@ -418,7 +420,10 @@ def page_views(
                 distribution_cache=(
                     cache.distributions if cache is not None else None
                 ),
-                cache_key=key,
+                cache_key=(
+                    (extractor.config_digest, key)
+                    if cache is not None else None
+                ),
             )
         views.append(page)
     return views

@@ -149,8 +149,8 @@ class AnalysisCache:
       fingerprint)`` keys, so extractors with different Alexa
       rankings, PSLs or term metrics never read each other's rows;
     * ``distributions`` — individual Table I term distributions keyed
-      by ``(fingerprint, name)``, shared between extraction and target
-      identification of the same content.
+      by ``((config_digest, fingerprint), name)``, shared between
+      extraction and target identification of the same content.
 
     The ``image`` distribution is never cached (it depends on the OCR
     engine, not only on content).

@@ -17,6 +17,13 @@ per-analysis cost).  The shared :class:`~repro.resilience.clock.Clock`
 backs the load-level deadlines and fault stalls; the serving timeline
 itself is plain event arithmetic, so reordering-independent and exact.
 
+Dispatch has one path.  Each request popped from the queue is loaded
+and analysed before the next one is popped, whether or not it is
+traced or budgeted.  Target identification reads the shared clock
+through search breakers and deadlines, so analysing a request only
+after later loads had stalled the clock could change its verdict;
+dispatching in pop order keeps traced and untraced runs identical.
+
 Request lifecycle (the **triage ladder**)::
 
     arrival ─ triage? ─ negative? ─ coalesce? ─ admission ─ queue ─ dispatch
@@ -404,84 +411,15 @@ class ServingEngine:
         return True
 
     # -- dispatch ------------------------------------------------------
-    def _batchable(self) -> bool:
-        """True when this tick's analyses may run as one columnar batch.
-
-        Requires the pipeline to expose ``analyze_batch`` and both the
-        engine and pipeline tracers to be disabled: a batched tick
-        emits one ``analyze`` span over all its pages instead of one
-        ``serve.request``/``analyze`` tree per request, so traced runs
-        keep the per-request path to preserve their span dumps byte
-        for byte.  Verdicts are the same either way: ``analyze`` and
-        ``analyze_batch`` run the pipeline's one analysis path.
-        """
-        return (
-            getattr(self.pipeline, "analyze_batch", None) is not None
-            and not self.tracer.enabled
-            and not getattr(
-                getattr(self.pipeline, "tracer", NULL_TRACER),
-                "enabled",
-                False,
-            )
-        )
-
     def _dispatch(self, t: float, responses) -> None:
-        # Unbudgeted requests dispatched in one tick can share a single
-        # columnar analysis pass: their loads still run serially in pop
-        # order (fault stalls advance the shared clock exactly as the
-        # per-request path would), and analysis itself neither advances
-        # nor reads simulated time, so deferring it to the end of the
-        # tick is invisible to the simulation.  Budgeted requests keep
-        # the per-request path — their deadline reads interleave with
-        # the clock — and flush any staged work first so memo fills and
-        # search-engine calls stay in pop order.
-        staged: list[tuple] = []
-        staged_analyses = 0
-        staged_fps: set[str] = set()
-        batchable = self._batchable()
-
-        def flush() -> None:
-            nonlocal staged_analyses
-            if not staged:
-                return
-            loads = [
-                entry[2] for entry in staged if entry[0] == "analyze"
-            ]
-            verdicts = (
-                self.pipeline.analyze_batch(loads) if loads else []
-            )
-            cursor = 0
-            for entry in staged:
-                kind, request = entry[0], entry[1]
-                if kind == "analyze":
-                    _kind, _request, _loaded, load_delta, fp = entry
-                    verdict = verdicts[cursor]
-                    cursor += 1
-                    self.memo.put(fp, verdict)
-                    payload = ("verdict", verdict, False)
-                    service = load_delta + self.analysis_cost
-                elif kind == "dup":
-                    _kind, _request, load_delta, fp = entry
-                    # An earlier request in this same tick analyzed the
-                    # identical content; serially this lookup would hit
-                    # the memo it just filled.
-                    payload = ("verdict", self.memo.get(fp), True)
-                    service = load_delta + self.memo_cost
-                else:  # "ready": shed at load time, or a warm memo hit
-                    _kind, _request, payload, service = entry
-                heapq.heappush(
-                    self._inflight,
-                    (t + service, self._seq, request, payload),
-                )
-                self._seq += 1
-            staged.clear()
-            staged_fps.clear()
-            staged_analyses = 0
-
-        while (
-            self._pending
-            and len(self._inflight) + len(staged) < self.workers
-        ):
+        # One path for every request, in pop order: load and analysis
+        # run back to back inside ``_work``, so target identification
+        # reads the shared clock (breaker cooldowns, deadlines) at the
+        # instant its own request is dispatched, and a later request's
+        # load stall can never leak into an earlier verdict.  Content
+        # analysed earlier in the tick is answered by the memo ``_work``
+        # just filled.
+        while self._pending and len(self._inflight) < self.workers:
             request = self._pending.popleft()
             queue_wait = t - request.arrival
             remaining = request.remaining_at(t)
@@ -503,12 +441,6 @@ class ServingEngine:
                         responses,
                     )
                 continue
-            if batchable and remaining is None:
-                staged.append(self._stage_load(request, staged_fps))
-                if staged[-1][0] == "analyze":
-                    staged_analyses += 1
-                continue
-            flush()
             with self.tracer.span(
                 "serve.request", url=request.url, id=request.request_id
             ) as span:
@@ -519,53 +451,6 @@ class ServingEngine:
                 self._inflight, (finish, self._seq, request, payload)
             )
             self._seq += 1
-        flush()
-
-    def _stage_load(self, request: ServeRequest, staged_fps: set):
-        """Load one unbudgeted request now; defer its analysis.
-
-        Mirrors :meth:`_work`'s unbudgeted path step for step — same
-        exception handling, same memo probe — but returns a staged
-        entry instead of analyzing inline.  Content already staged for
-        analysis in this tick is recorded as a ``dup`` (the serial loop
-        would hit the memo the earlier request filled) without probing
-        the memo now, keeping its hit/miss counters identical.
-        """
-        load_start = self.clock.now()
-        try:
-            loaded = self.browser.load(request.url)
-        except DeadlineExceeded:
-            return (
-                "ready", request, ("shed", SHED_DEADLINE),
-                self.clock.now() - load_start,
-            )
-        except (PageNotFound, RedirectLoopError, FetchError):
-            return (
-                "ready", request, ("shed", SHED_UPSTREAM),
-                self.clock.now() - load_start,
-            )
-        load_delta = self.clock.now() - load_start
-        fingerprint = snapshot_fingerprint(loaded.snapshot)
-        if fingerprint in staged_fps:
-            if self.quality is not None:
-                # Serially this lookup would hit the memo the earlier
-                # staged request filled: record it as the hit it is.
-                self.quality.observe_cache(
-                    "memo", True, now=self.clock.now()
-                )
-            return ("dup", request, load_delta, fingerprint)
-        memoized = self.memo.get(fingerprint)
-        if self.quality is not None:
-            self.quality.observe_cache(
-                "memo", memoized is not None, now=self.clock.now()
-            )
-        if memoized is not None:
-            return (
-                "ready", request, ("verdict", memoized, True),
-                load_delta + self.memo_cost,
-            )
-        staged_fps.add(fingerprint)
-        return ("analyze", request, loaded, load_delta, fingerprint)
 
     def _work(self, request: ServeRequest, remaining: float | None):
         """Load + analyze one request; return (payload, service_time).

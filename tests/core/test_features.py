@@ -317,6 +317,23 @@ class TestSharedCacheKeying:
         assert np.array_equal(hellinger.extract_many(snapshots), hellinger_rows)
         assert np.array_equal(jaccard.extract_many(snapshots), true_rows)
 
+    def test_psl_extractor_gets_its_own_distributions(self, alexa):
+        # RDN distributions depend on the PSL: ``acmebank.com`` as a
+        # public suffix moves every acmebank host's RDN one label down.
+        cache = AnalysisCache()
+        psl = PublicSuffixList(["com", "net", "acmebank.com", "org", "io"])
+        FeatureExtractor(alexa=alexa, cache=cache).extract_many(
+            [make() for make in SNAPSHOTS]
+        )
+        snapshots = [make() for make in SNAPSHOTS]
+        shared_rows = FeatureExtractor(
+            alexa=alexa, psl=psl, cache=cache
+        ).extract_many(snapshots)
+        true_rows = FeatureExtractor(alexa=alexa, psl=psl).extract_many(
+            snapshots
+        )
+        assert np.array_equal(shared_rows, true_rows)
+
     def test_digest_names_the_configuration(self, alexa):
         base = FeatureExtractor(alexa=alexa).config_digest
         assert FeatureExtractor(alexa=alexa).config_digest == base

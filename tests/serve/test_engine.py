@@ -10,6 +10,11 @@ import pytest
 
 from repro.core.pipeline import PageVerdict
 from repro.obs import MetricsRegistry
+from repro.resilience import (
+    CircuitBreaker,
+    GuardedSearchEngine,
+    SearchUnavailableError,
+)
 from repro.resilience.clock import ManualClock
 from repro.serve import (
     DEGRADED,
@@ -88,15 +93,50 @@ class StubPipeline:
         )
 
 
-class BatchStubPipeline(StubPipeline):
-    """Stub that also exposes ``analyze_batch``, recording each batch."""
+class HealthySearch:
+    """A search engine that always answers (with no results)."""
 
-    def __init__(self, degraded_urls=()):
-        super().__init__(degraded_urls)
-        self.batches = []
+    def query(self, terms, top_k=10):
+        return []
+
+
+class BreakerStubPipeline(StubPipeline):
+    """Identification behind a real search breaker on the shared clock.
+
+    Each analysis records the clock and queries through a
+    :class:`GuardedSearchEngine`: while the breaker is open the verdict
+    degrades to ``search_unavailable``, as the real pipeline's does.
+    ``analyze_batch`` is exposed so an engine that deferred analyses to
+    a batch could use it.
+    """
+
+    def __init__(self, clock, cooldown):
+        super().__init__()
+        self.clock = clock
+        breaker = CircuitBreaker(
+            failure_threshold=1, recovery_time=cooldown, clock=clock,
+            failure_types=(SearchUnavailableError,),
+        )
+        breaker.record_failure()    # opens now, for ``cooldown`` seconds
+        self.search = GuardedSearchEngine(HealthySearch(), breaker=breaker)
+        self.analyzed_at = {}
+
+    def analyze(self, loaded, deadline=None):
+        content = loaded.snapshot.content
+        self.analyzed.append(content)
+        self.analyzed_at[content] = self.clock.now()
+        try:
+            if deadline is not None:
+                deadline.check("search")
+            self.search.result_rdns(["telekom"])
+        except SearchUnavailableError:
+            return PageVerdict(
+                verdict="phish", confidence=0.9, targets=[],
+                degraded=True, degradations=["search_unavailable"],
+            )
+        return PageVerdict(verdict="phish", confidence=0.9, targets=["telekom"])
 
     def analyze_batch(self, pages, tracer=None, metrics=None):
-        self.batches.append([page.snapshot.content for page in pages])
         return [self.analyze(page) for page in pages]
 
 
@@ -414,12 +454,11 @@ class TestDeterminismAndObservability:
 
 
 class TestMicroBatching:
-    """Tick-level batched analysis must be invisible to the simulation.
+    """Within one dispatch tick, repeated content takes the memo path.
 
-    When the pipeline exposes ``analyze_batch`` and nothing is traced
-    or budgeted, the engine runs all analyses dispatched in one tick as
-    a single batch.  Every observable — responses, memo counters,
-    latencies — must match the per-request path exactly.
+    Every request is loaded and analysed before the next is popped, so
+    a duplicate later in the same tick hits the memo the earlier
+    request just filled, and is charged the memo cost.
     """
 
     WORKLOAD = (
@@ -430,36 +469,15 @@ class TestMicroBatching:
         (0.5, "http://a.com/"),          # warm memo hit, later tick
     )
 
-    def _run(self, pipeline, budget=None, **kwargs):
+    def test_within_tick_duplicate_and_warm_hit_take_memo_path(self):
         clock = ManualClock()
         browser = StubBrowser(
             clock,
             dead=("http://dead.com/",),
             content={"http://dup-of-a.com/": "http://a.com/"},
         )
-        engine, _browser, _pipeline = _engine(
-            clock=clock, browser=browser, pipeline=pipeline,
-            workers=4, **kwargs,
-        )
-        report = engine.run(
-            build_requests(_arrivals(*self.WORKLOAD), budget=budget)
-        )
-        return report, pipeline
-
-    def test_batched_run_matches_per_request_run_exactly(self):
-        batched, batch_pipeline = self._run(BatchStubPipeline())
-        serial, serial_pipeline = self._run(StubPipeline())
-        assert batched.responses == serial.responses
-        assert batched.memo_hits == serial.memo_hits
-        assert batched.memo_misses == serial.memo_misses
-        assert batch_pipeline.analyzed == serial_pipeline.analyzed
-        # ...and batching really engaged: one two-page batch (a, b).
-        assert batch_pipeline.batches == [
-            ["http://a.com/", "http://b.com/"]
-        ]
-
-    def test_within_tick_duplicate_and_warm_hit_take_memo_path(self):
-        report, pipeline = self._run(BatchStubPipeline())
+        engine, _b, _p = _engine(clock=clock, browser=browser, workers=4)
+        report = engine.run(build_requests(_arrivals(*self.WORKLOAD)))
         by_url = {}
         for response in report.responses:
             by_url.setdefault(response.url, response)
@@ -469,21 +487,43 @@ class TestMicroBatching:
         assert memo_latency == pytest.approx(0.1 * 0.1)  # memo_cost
         assert by_url["http://dead.com/"].shed_reason == SHED_UPSTREAM
 
-    def test_budgeted_requests_bypass_batching(self):
-        report, pipeline = self._run(BatchStubPipeline(), budget=1.0)
-        assert pipeline.batches == []
-        assert pipeline.analyzed          # per-request path still ran
-        assert report.completed_count == 4
 
-    def test_traced_engine_bypasses_batching(self):
+class TestDispatchOrder:
+    """Each request is analysed at the instant it is dispatched.
+
+    Identification reads the shared clock through the search breaker,
+    so an analysis deferred past a later request's stalled load would
+    see a different breaker state.  Tracing must not change verdicts.
+    """
+
+    def _run(self, tracer=None):
+        clock = ManualClock()
+        browser = StubBrowser(clock, delays={"http://b.com/": 30.0})
+        pipeline = BreakerStubPipeline(clock, cooldown=10.0)
+        kwargs = {"tracer": tracer} if tracer is not None else {}
+        engine, _b, _p = _engine(
+            clock=clock, browser=browser, pipeline=pipeline, **kwargs
+        )
+        report = engine.run(build_requests(
+            _arrivals((0.0, "http://a.com/"), (0.0, "http://b.com/")),
+        ))
+        return report, pipeline
+
+    def test_load_stall_does_not_leak_into_earlier_analysis(self):
+        report, pipeline = self._run()
+        assert pipeline.analyzed_at == {
+            "http://a.com/": 0.0, "http://b.com/": 30.0,
+        }
+        first, second = report.responses
+        assert first.degradations == ("search_unavailable",)
+        assert second.targets == ("telekom",)
+
+    def test_traced_and_untraced_runs_return_equal_responses(self):
         from repro.obs import Tracer
 
-        tracer = Tracer(clock=ManualClock())
-        report, pipeline = self._run(BatchStubPipeline(), tracer=tracer)
-        assert pipeline.batches == []
-        names = [span.name for span in tracer.iter_spans()]
-        assert names.count("serve.request") == 5  # sheds are spanned too
-        assert report.completed_count == 4
+        untraced, _ = self._run()
+        traced, _ = self._run(tracer=Tracer(clock=ManualClock()))
+        assert traced.responses == untraced.responses
 
 
 class TestValidation:
