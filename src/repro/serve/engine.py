@@ -74,7 +74,7 @@ from repro.serve.request import (
     ServeRequest,
     ServeResponse,
 )
-from repro.serve.triage import TriageModel
+from repro.serve.triage import TriageDecision, TriageModel
 from repro.web.browser import PageNotFound, RedirectLoopError
 
 _EPS = 1e-9
@@ -107,11 +107,14 @@ class ServingEngine:
         Modelled seconds for a content-hash memo hit (default: 10% of
         ``analysis_cost``).
     triage:
-        Optional :class:`~repro.serve.triage.TriageModel`.  When set,
-        arrivals are scored URL-only first; confident verdicts resolve
-        at tier 0 (``triage_cost`` seconds, no queue slot, no token,
-        no worker) and only the uncertain band escalates into the
-        classic path, which stays byte-identical to an untriaged run.
+        Optional :class:`~repro.serve.triage.TriageModel` (any object
+        with ``decide_batch(urls)``).  When set, arrivals are scored
+        URL-only first; confident verdicts resolve at tier 0
+        (``triage_cost`` seconds, no queue slot, no token, no worker)
+        and only the uncertain band escalates into the classic path,
+        which stays byte-identical to an untriaged run.  Each
+        :meth:`run` scores its unique URLs in one ``decide_batch``
+        call, whose scores must not depend on the batch.
     triage_cost:
         Modelled seconds for one tier-0 decision (default: 1% of
         ``analysis_cost`` — a hashed dot product vs a page analysis).
@@ -209,6 +212,8 @@ class ServingEngine:
         # triage scores of escalated requests for mismatch tracking.
         self._budgets: dict[int, float | None] = {}
         self._triage_scores: dict[int, float] = {}
+        # the run's tier-0 decisions by URL, scored once by run()
+        self._triage_decisions: dict[str, TriageDecision] = {}
 
     # -- chaos hooks ---------------------------------------------------
     def lose_worker(self) -> None:
@@ -244,6 +249,18 @@ class ServingEngine:
         self.max_inflight = 0
         self._budgets = {}
         self._triage_scores = {}
+        # Tier 0 is a pure function of the URL, so the run's unique
+        # URLs are scored in one batch up front (first-arrival order)
+        # and each arrival looks its decision up; the model's scores
+        # are row-exact, so this equals a per-arrival ``decide``.
+        self._triage_decisions = {}
+        if self.triage is not None:
+            unique_urls = list(
+                dict.fromkeys(request.url for request in ordered)
+            )
+            self._triage_decisions = dict(
+                zip(unique_urls, self.triage.decide_batch(unique_urls))
+            )
 
         with self.tracer.span("serve.run", requests=len(ordered)):
             while arrivals:
@@ -371,12 +388,13 @@ class ServingEngine:
         A confident decision terminates the request after
         ``triage_cost`` simulated seconds without consuming a queue
         slot, a token or a worker; ``escalate`` falls through to the
-        classic path untouched.
+        classic path untouched.  The decision itself was scored by
+        :meth:`run`'s one batch pass over the run's unique URLs.
         """
         with self.tracer.span(
             "serve.triage", url=request.url, id=request.request_id
         ) as span:
-            decision = self.triage.decide(request.url)
+            decision = self._triage_decisions[request.url]
             span.set(action=decision.action, score=decision.score)
         self.metrics.inc("serve_triage_total", action=decision.action)
         if not decision.resolved:

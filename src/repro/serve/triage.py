@@ -3,9 +3,8 @@
 PhishDef [Le et al.] and "Detecting Phishing sites Without Visiting
 them" show URL-only lexical models are accurate enough to
 short-circuit the obvious cases — so the serving ladder's first tier
-scores the *URL alone* (no page load, no snapshot, microseconds) and
-resolves it immediately when the score clears a calibrated two-sided
-band:
+scores the *URL alone* (no page load, no snapshot) and resolves it
+immediately when the score clears a calibrated two-sided band:
 
 * ``score >= phish_threshold`` — confident phish, blocked at tier 0;
 * ``score <= legit_threshold`` — confident legitimate, cleared at
@@ -118,7 +117,15 @@ class TriageModel:
         return self.decide_batch([url])[0]
 
     def decide_batch(self, urls) -> list[TriageDecision]:
-        """Tier-0 decisions for a URL batch in one vectorised pass."""
+        """Tier-0 decisions for a URL batch in one vectorised pass.
+
+        The batch contract: ``decide_batch(urls)[i] == decide(urls[i])``
+        bit for bit, whatever else shares the batch, because the
+        classifier scores every row as a one-URL call would.  The
+        serving engine relies on it to score each run's URLs at once,
+        and calibration relies on it to set thresholds on the very
+        scores the engine serves.
+        """
         scores = self.classifier.predict_proba_urls(urls)
         return [
             TriageDecision(action=self._action(float(score)),

@@ -37,6 +37,9 @@ class StubTriage:
     def decide(self, url):
         return self.decisions.get(url, TriageDecision("escalate", 0.6))
 
+    def decide_batch(self, urls):
+        return [self.decide(url) for url in urls]
+
 
 def _arrivals(*specs):
     return [_RawArrival(time=t, url=u) for t, u in specs]

@@ -6,15 +6,21 @@ run the full :class:`~repro.serve.engine.ServingEngine` ladder on the
 same stub browser/pipeline idiom as ``test_engine.py`` and assert the
 tentpole contract: tier-0 resolution consumes no page load, no queue
 slot, and no token, while escalation leaves the classic path — and
-its verdicts — byte-identical to an untriaged engine.
+its verdicts — byte-identical to an untriaged engine.  A real model
+fitted on the tiny world pins the batch contract the engine's one
+scoring pass per run rests on: a URL's score is bit-identical in any
+batch and alone.
 """
 
 import pickle
+import random
 
 import numpy as np
 import pytest
 
+from repro.baselines.url_lexical import UrlLexicalClassifier
 from repro.core.pipeline import PageVerdict
+from repro.ml.calibration import two_sided_thresholds
 from repro.obs import MetricsRegistry, Tracer
 from repro.resilience.clock import ManualClock
 from repro.serve import (
@@ -132,6 +138,77 @@ class TestTriageModel:
         assert clone.legit_threshold == model.legit_threshold
         assert clone.phish_threshold == model.phish_threshold
         assert clone.decide_batch(urls) == model.decide_batch(urls)
+
+
+# -- batch independence on a real model ------------------------------
+
+#: URLs outside the fitted world: IP hosts, unparsable strings and a
+#: URL whose tokens training never saw.
+ODD_URLS = [
+    "http://192.168.10.1/login.php?user=admin",
+    "http://10.0.0.7/",
+    "not a url at all",
+    "",
+    "http://[::1/broken",
+    "http://never-seen-before.example/zz/yy?q=1",
+]
+
+
+@pytest.fixture(scope="module")
+def fitted(tiny_world):
+    """A real tier-0 model fitted on the tiny world, plus a URL pool."""
+    train = tiny_world.dataset("legTrain") + tiny_world.dataset("phishTrain")
+    urls = [page.url for page in train]
+    classifier = UrlLexicalClassifier().fit_urls(urls, train.labels())
+    model = TriageModel.calibrate(classifier, urls, train.labels())
+    pool = sorted({
+        page.url
+        for dataset in tiny_world.datasets.values()
+        for page in dataset
+    }) + ODD_URLS
+    return model, urls, train.labels(), pool
+
+
+class TestBatchIndependence:
+    """A URL's tier-0 score must not depend on the batch carrying it.
+
+    An N-row ``X @ w`` lets BLAS sum in another order than a 1-row
+    product, so without row-exact scoring a URL's probability moves by
+    an ulp with the size of its batch.  The serving engine scores each
+    run's URLs in one batch and serves those scores, so they must equal
+    the one-URL scores bit for bit.
+    """
+
+    def test_scores_and_decisions_equal_one_url_calls(self, fitted):
+        model, _urls, _labels, pool = fitted
+        classifier = model.classifier
+        single = {
+            url: classifier.predict_proba_urls([url])[0] for url in pool
+        }
+        decided = {url: model.decide(url) for url in pool}
+        rng = random.Random(15)
+        batches = [pool, pool[::-1], pool + pool[:7]]
+        for _ in range(12):
+            batch = rng.sample(pool, rng.randrange(2, len(pool)))
+            batches.append(batch)
+        for batch in batches:
+            scores = classifier.predict_proba_urls(batch)
+            expected = np.array([single[url] for url in batch])
+            assert scores.tobytes() == expected.tobytes()
+            assert model.decide_batch(batch) == [
+                decided[url] for url in batch
+            ]
+
+    def test_calibration_sees_the_served_scores(self, fitted):
+        model, urls, labels, _pool = fitted
+        served = np.array([model.decide(url).score for url in urls])
+        assert (model.legit_threshold, model.phish_threshold) == \
+            two_sided_thresholds(labels, served)
+
+    def test_empty_batch(self, fitted):
+        model, _urls, _labels, _pool = fitted
+        assert model.classifier.predict_proba_urls([]).shape == (0,)
+        assert model.decide_batch([]) == []
 
 
 # -- engine integration ------------------------------------------------
@@ -297,6 +374,73 @@ class TestEngineTriage:
         )
         assert "tiers" in tiered.summary()
         assert tiered.summary()["tiers"][TIER_FULL]["count"] == 1
+
+
+class CountingTriage:
+    """Delegates to a model, recording each ``decide_batch`` batch."""
+
+    def __init__(self, model):
+        self.model = model
+        self.batches = []
+
+    def decide_batch(self, urls):
+        self.batches.append(list(urls))
+        return self.model.decide_batch(urls)
+
+    def decide(self, url):
+        raise AssertionError("the engine must not score one URL at a time")
+
+
+class PerArrivalTriage:
+    """The batch contract spelled out: one ``decide`` per URL."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def decide_batch(self, urls):
+        return [self.model.decide(url) for url in urls]
+
+
+class TestEngineScoringPass:
+    def test_one_batch_per_run_in_first_arrival_order(self):
+        triage = CountingTriage(CONFIDENT)
+        engine, _b, _p = _engine(triage=triage)
+        requests = build_requests(_arrivals(
+            (0.0, "http://ok.com/"),
+            (0.1, "http://unsure.com/"),
+            (0.2, "http://ok.com/"),
+            (0.3, "http://phish.bad/"),
+            (0.4, "http://unsure.com/"),
+        ))
+        report = engine.run(list(reversed(requests)))
+        assert triage.batches == [
+            ["http://ok.com/", "http://unsure.com/", "http://phish.bad/"]
+        ]
+        assert [r.verdict for r in report.responses] == [
+            TRIAGE_LEGITIMATE, "legitimate", TRIAGE_LEGITIMATE,
+            TRIAGE_PHISH, "legitimate",
+        ]
+        engine.run(build_requests(_arrivals((0.0, "http://ok.com/"))))
+        assert len(triage.batches) == 2
+
+    def test_real_model_serves_what_per_arrival_decide_would(self, fitted):
+        model, _urls, _labels, pool = fitted
+        rng = random.Random(7)
+        arrivals = _arrivals(*sorted(
+            (round(rng.uniform(0.0, 3.0), 3), rng.choice(pool))
+            for _ in range(150)
+        ))
+
+        def served(triage):
+            engine, _b, _p = _engine(triage=triage)
+            report = engine.run(build_requests(arrivals))
+            return [
+                (r.tier, r.verdict, r.confidence) for r in report.responses
+            ]
+
+        batched = served(model)
+        assert batched == served(PerArrivalTriage(model))
+        assert {tier for tier, _v, _c in batched} == {TIER_TRIAGE, TIER_FULL}
 
 
 class TestNegativeCache:
